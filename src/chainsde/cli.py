@@ -110,6 +110,10 @@ def main(argv: list[str] | None = None) -> int:
     except ChainSDEError as exc:
         print(f"chainsde: error: {exc}", file=sys.stderr)
         return 2
+    except (OSError, MemoryError) as exc:
+        # exit 1 is kept for failed invariant checks
+        print(f"chainsde: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import ChainState, SystemParams
 from .integrator import Scheme, SolveConfig, Trajectory, integrate_block, solve
-from .noise import generate, generate_matrix, at_level
+from .noise import _BlockStream, at_level, generate
 from .stopping import CaseKind, CaseLabel
 
 __all__ = [
@@ -198,12 +198,6 @@ def coupled_solve(
     return CoupledRun(seed, pert, div, traj_a=traj_a, traj_b=traj_b)
 
 
-def _coarsen_rows(inc: np.ndarray, halvings: int) -> np.ndarray:
-    for _ in range(halvings):
-        inc = inc[:, 0::2] + inc[:, 1::2]
-    return inc
-
-
 def coupled_ensemble(
     params: SystemParams,
     seeds,
@@ -214,8 +208,11 @@ def coupled_ensemble(
 ) -> list[CoupledRun]:
     """Vectorized coupled pairs, one per seed, sharing generated noise.
 
-    Divergence is recorded on the coarser common grid decimated to at
-    most max_trace_points points (always keeping t = 0 and the horizon).
+    The finer solve streams its noise in time blocks and records the
+    blocks' pairwise sums at the coarser level, bitwise the coarsened
+    increments, which the coarser solve then integrates.  Divergence is
+    recorded on the coarser common grid decimated to at most
+    max_trace_points points (always keeping t = 0 and the horizon).
     Trajectories are not retained.
     """
     if len(seeds) == 0:
@@ -230,24 +227,24 @@ def coupled_ensemble(
     stride_a = rec * 2 ** (cfg_a.level - lo)
     stride_b = rec * 2 ** (cfg_b.level - lo)
 
-    if cfg.zero_noise:
-        inc_hi = np.zeros((len(seeds), 2**hi), dtype=np.float64)
-    else:
-        inc_hi = generate_matrix(seeds, cfg.max_time, hi)
-    inc_a = _coarsen_rows(inc_hi, hi - cfg_a.level)
-    inc_b = _coarsen_rows(inc_hi, hi - cfg_b.level) if cfg_b.level != cfg_a.level else inc_a
-
     m = len(seeds)
-    init_a_mat = np.tile(np.asarray(params.initial.coords), (m, 1))
-    init_b_mat = np.tile(np.asarray(init_b, dtype=np.float64), (m, 1))
-    run_a = integrate_block(
-        params, cfg_a, inc_a, initial_coords=init_a_mat, record_stride=stride_a,
-        seeds=tuple(seeds),
-    )
-    run_b = integrate_block(
-        params, cfg_b, inc_b, initial_coords=init_b_mat, record_stride=stride_b,
-        seeds=tuple(seeds),
-    )
+
+    def integrate(side_cfg, init, stride, inc):
+        return integrate_block(
+            params, side_cfg, inc,
+            initial_coords=np.tile(np.asarray(init, dtype=np.float64), (m, 1)),
+            record_stride=stride, seeds=tuple(seeds),
+        )
+
+    noise = _BlockStream(seeds, cfg.max_time, hi, zero=cfg.zero_noise, record_level=lo)
+    # The finer solve runs first: its pass over the stream fills
+    # noise.recorded, the increments of the coarser solve.
+    if cfg_a.level >= cfg_b.level:
+        run_a = integrate(cfg_a, params.initial.coords, stride_a, noise)
+        run_b = integrate(cfg_b, init_b, stride_b, noise.recorded)
+    else:
+        run_b = integrate(cfg_b, init_b, stride_b, noise)
+        run_a = integrate(cfg_a, params.initial.coords, stride_a, noise.recorded)
 
     runs = []
     for i, seed in enumerate(seeds):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import ChainState, SystemParams, diffusion_coeff
 from .errors import ConfigError, ResourceLimitError
-from .noise import MAX_LEVEL, BrownianPath, at_level, generate_matrix
+from .noise import MAX_LEVEL, BrownianPath, _BlockStream, at_level
 
 __all__ = [
     "Scheme",
@@ -51,7 +51,8 @@ __all__ = [
     "integrate_block",
 ]
 
-# Memory budget for one lockstep block (increments plus records), bytes.
+# Memory budget for one lockstep block (one block of increments plus the
+# records), bytes.
 _BLOCK_BUDGET = 1_600_000_000
 
 
@@ -274,19 +275,6 @@ class EnsembleResult:
         return [self.trajectory(i) for i in range(self.n_paths)]
 
 
-def _stop_code_vector(coords: list[np.ndarray], eps: float, inner: float, outer: float):
-    linf = np.abs(coords[0])
-    for c in coords[1:]:
-        linf = np.maximum(linf, np.abs(c))
-    finite = np.isfinite(linf)
-    code = np.zeros(linf.shape, dtype=np.int8)
-    code = np.where(linf <= eps, np.int8(StopReason.ORIGIN_HIT), code)
-    code = np.where((code == 0) & (linf <= inner), np.int8(StopReason.INNER_BAND), code)
-    code = np.where((code == 0) & finite & (linf >= outer), np.int8(StopReason.OUTER_BAND), code)
-    code = np.where((code == 0) & ~finite, np.int8(StopReason.BLOWUP), code)
-    return code
-
-
 def _stop_code_scalar(coords: tuple[float, ...], eps: float, inner: float, outer: float) -> int:
     linf = max(abs(c) for c in coords)
     finite = math.isfinite(linf)
@@ -301,14 +289,20 @@ def _stop_code_scalar(coords: tuple[float, ...], eps: float, inner: float, outer
     return 0
 
 
+def _blocks(increments):
+    """The (paths, w) time blocks of a block stream; a matrix is one block."""
+    return (increments,) if isinstance(increments, np.ndarray) else increments
+
+
 def _integrate_vector(params, cfg, increments, init, stride, h):
-    """Lockstep kernel over (paths, steps) increments.
+    """Lockstep kernel over (paths, steps) increments, a matrix or a block stream.
 
     Arithmetic mirrors _integrate_scalar expression by expression (the
     in-place ufuncs only reorder commutative additions), so a lockstep
     row is bitwise identical to the corresponding single-path solve.
     The hot loop works in preallocated buffers and only falls into the
-    slow masked branches around stop events.
+    slow masked branches around stop events.  Blocks are consumed in
+    time order; the state, anchors, stops and record index carry over.
     """
     M, n_steps = increments.shape
     d = init.shape[1]
@@ -316,8 +310,6 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
     eps, inner, outer = cfg.origin_tolerance, cfg.inner_level, cfg.outer_level
     drift_exact = cfg.scheme is Scheme.DRIFT_EXACT_EM
     n_rec = n_steps // stride
-    # step-contiguous layout for the column reads in the hot loop
-    inc_t = np.ascontiguousarray(increments.T)
 
     rec = np.empty((M, n_rec + 1, d), dtype=np.float64)
     stop_code = np.zeros(M, dtype=np.int8)
@@ -396,69 +388,77 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
     if d == 3:
         rec[:, 0, 2] = z
 
+    k = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for k in range(n_steps):
-            t_next = (k + 1) * h
-            # coefficient exp(alpha * ln|x|); ln 0 = -inf gives exactly 0
-            np.abs(x, out=coeff)
-            np.log(coeff, out=coeff)
-            coeff *= alpha
-            np.exp(coeff, out=coeff)
-            np.multiply(coeff, inc_t[k], out=dlast)
-            if not state["all_noisy"]:
-                np.copyto(dlast, 0.0, where=~noisy)
+        for block in _blocks(increments):
+            # step-contiguous layout for the column reads in the hot loop
+            inc_t = np.ascontiguousarray(block.T)
+            del block
+            for dB in inc_t:
+                t_next = (k + 1) * h
+                # coefficient exp(alpha * ln|x|); ln 0 = -inf gives exactly 0
+                np.abs(x, out=coeff)
+                np.log(coeff, out=coeff)
+                coeff *= alpha
+                np.exp(coeff, out=coeff)
+                np.multiply(coeff, dB, out=dlast)
+                if not state["all_noisy"]:
+                    np.copyto(dlast, 0.0, where=~noisy)
 
-            if drift_exact:
-                np.subtract(t_next, at, out=dt)
-                if d == 3:
-                    np.multiply(dt, dt, out=tmp)
-                    tmp *= 0.5
-                    np.multiply(tmp, z, out=xn)  # (0.5*(dt*dt))*z
-                    np.multiply(dt, ay, out=tmp)
-                    tmp += ax
-                    xn += tmp  # + (ax + dt*ay)
-                    np.multiply(dt, z, out=yn)
-                    yn += ay
-                    np.add(z, dlast, out=zn)
+                if drift_exact:
+                    np.subtract(t_next, at, out=dt)
+                    if d == 3:
+                        np.multiply(dt, dt, out=tmp)
+                        tmp *= 0.5
+                        np.multiply(tmp, z, out=xn)  # (0.5*(dt*dt))*z
+                        np.multiply(dt, ay, out=tmp)
+                        tmp += ax
+                        xn += tmp  # + (ax + dt*ay)
+                        np.multiply(dt, z, out=yn)
+                        yn += ay
+                        np.add(z, dlast, out=zn)
+                    else:
+                        np.multiply(dt, ay, out=xn)
+                        xn += ax
+                        np.add(ay, dlast, out=yn)
                 else:
-                    np.multiply(dt, ay, out=xn)
-                    xn += ax
-                    np.add(ay, dlast, out=yn)
-            else:
-                np.multiply(y, h, out=xn)
-                xn += x
-                if d == 3:
-                    np.multiply(z, h, out=yn)
-                    yn += y
-                    np.add(z, dlast, out=zn)
+                    np.multiply(y, h, out=xn)
+                    xn += x
+                    if d == 3:
+                        np.multiply(z, h, out=yn)
+                        yn += y
+                        np.add(z, dlast, out=zn)
+                    else:
+                        np.add(y, dlast, out=yn)
+
+                if state["all_evolving"]:
+                    x, xn = xn, x
+                    y, yn = yn, y
+                    if d == 3:
+                        z, zn = zn, z
                 else:
-                    np.add(y, dlast, out=yn)
+                    np.copyto(x, xn, where=evolving)
+                    np.copyto(y, yn, where=evolving)
+                    if d == 3:
+                        np.copyto(z, zn, where=evolving)
+                if drift_exact:
+                    np.not_equal(dlast, 0.0, out=b1)
+                    b1 &= evolving
+                    np.copyto(ax, x, where=b1)
+                    np.copyto(ay, y, where=b1)
+                    np.copyto(at, t_next, where=b1)
 
-            if state["all_evolving"]:
-                x, xn = xn, x
-                y, yn = yn, y
-                if d == 3:
-                    z, zn = zn, z
-            else:
-                np.copyto(x, xn, where=evolving)
-                np.copyto(y, yn, where=evolving)
-                if d == 3:
-                    np.copyto(z, zn, where=evolving)
-            if drift_exact:
-                np.not_equal(dlast, 0.0, out=b1)
-                b1 &= evolving
-                np.copyto(ax, x, where=b1)
-                np.copyto(ay, y, where=b1)
-                np.copyto(at, t_next, where=b1)
+                _maybe_stop(k + 1)
 
-            _maybe_stop(k + 1)
-
-            if (k + 1) % stride == 0:
-                r = (k + 1) // stride
-                rec[:, r, 0] = x
-                rec[:, r, 1] = y
-                if d == 3:
-                    rec[:, r, 2] = z
+                if (k + 1) % stride == 0:
+                    r = (k + 1) // stride
+                    rec[:, r, 0] = x
+                    rec[:, r, 1] = y
+                    if d == 3:
+                        rec[:, r, 2] = z
+                k += 1
+            # the last row view would keep this block alive while the next is drawn
+            del inc_t, dB
 
     stop_code = np.where(stop_code == 0, np.int8(StopReason.HORIZON_REACHED), stop_code)
     times = h * np.arange(0, n_steps + 1, stride, dtype=np.float64)
@@ -471,8 +471,7 @@ def _integrate_scalar(params, cfg, increments, init, stride, h):
     The coefficient goes through the same numpy ufuncs, so the result is
     bitwise identical to the corresponding lockstep row.
     """
-    inc = increments[0]
-    n_steps = inc.shape[0]
+    n_steps = increments.shape[1]
     d = len(init[0])
     alpha = params.alpha
     eps, inner, outer = cfg.origin_tolerance, cfg.inner_level, cfg.outer_level
@@ -503,38 +502,41 @@ def _integrate_scalar(params, cfg, increments, init, stride, h):
             evolving = False
     rec[0, 0, :d] = coords()
 
-    for k in range(n_steps):
-        t_next = (k + 1) * h
-        if evolving:
-            if noisy and x != 0.0:
-                dlast = float(np.exp(alpha * np.log(abs(x)))) * inc[k]
-            else:
-                dlast = 0.0
-            if drift_exact:
-                dt = t_next - at
-                if d == 3:
-                    x = ax + dt * ay + (0.5 * (dt * dt)) * z
-                    y = ay + dt * z
-                    z = z + dlast
+    k = 0
+    for block in _blocks(increments):
+        for dB in block[0]:
+            t_next = (k + 1) * h
+            if evolving:
+                if noisy and x != 0.0:
+                    dlast = float(np.exp(alpha * np.log(abs(x)))) * dB
                 else:
-                    x = ax + dt * ay
-                    y = ay + dlast
-                if dlast != 0.0:
-                    ax, ay, at = x, y, t_next
-            else:
-                if d == 3:
-                    x, y, z = x + h * y, y + h * z, z + dlast
+                    dlast = 0.0
+                if drift_exact:
+                    dt = t_next - at
+                    if d == 3:
+                        x = ax + dt * ay + (0.5 * (dt * dt)) * z
+                        y = ay + dt * z
+                        z = z + dlast
+                    else:
+                        x = ax + dt * ay
+                        y = ay + dlast
+                    if dlast != 0.0:
+                        ax, ay, at = x, y, t_next
                 else:
-                    x, y = x + h * y, y + dlast
-            if stop_code == 0:
-                code = _stop_code_scalar(coords(), eps, inner, outer)
-                if code:
-                    stop_code, stop_idx = code, k + 1
-                    noisy = False
-                    if not cfg.continue_after_stop or code == int(StopReason.BLOWUP):
-                        evolving = False
-        if (k + 1) % stride == 0:
-            rec[0, (k + 1) // stride, :d] = coords()
+                    if d == 3:
+                        x, y, z = x + h * y, y + h * z, z + dlast
+                    else:
+                        x, y = x + h * y, y + dlast
+                if stop_code == 0:
+                    code = _stop_code_scalar(coords(), eps, inner, outer)
+                    if code:
+                        stop_code, stop_idx = code, k + 1
+                        noisy = False
+                        if not cfg.continue_after_stop or code == int(StopReason.BLOWUP):
+                            evolving = False
+            if (k + 1) % stride == 0:
+                rec[0, (k + 1) // stride, :d] = coords()
+            k += 1
 
     if stop_code == 0:
         stop_code = int(StopReason.HORIZON_REACHED)
@@ -550,7 +552,7 @@ def _integrate_scalar(params, cfg, increments, init, stride, h):
 def integrate_block(
     params: SystemParams,
     cfg: SolveConfig,
-    increments: np.ndarray,
+    increments: "np.ndarray | _BlockStream",
     *,
     initial_coords: np.ndarray | None = None,
     record_stride: int = 1,
@@ -559,14 +561,21 @@ def integrate_block(
 ) -> EnsembleResult:
     """Lockstep-integrate a block of paths over shared grid increments.
 
-    increments has shape (paths, steps); initial_coords (paths, dim)
-    overrides params.initial per path (used by jitter experiments).
-    grid_step defaults to cfg.grid_step and only differs when the
-    increments come from a path whose horizon exceeds cfg.max_time.
+    increments is a (paths, steps) matrix, or a noise block stream of that
+    shape, which is walked one time block at a time and never built
+    whole; the memory budget counts one block plus the records.
+    initial_coords (paths, dim) overrides params.initial per path (used
+    by jitter experiments).  grid_step defaults to cfg.grid_step and only
+    differs when the increments come from a path whose horizon exceeds
+    cfg.max_time.
     """
-    increments = np.asarray(increments, dtype=np.float64)
-    if increments.ndim != 2:
-        raise ValueError("increments must be a (paths, steps) matrix")
+    if isinstance(increments, _BlockStream):
+        width = increments.width
+    else:
+        increments = np.asarray(increments, dtype=np.float64)
+        if increments.ndim != 2:
+            raise ValueError("increments must be a (paths, steps) matrix")
+        width = increments.shape[1]
     M, n_steps = increments.shape
     if M < 1 or n_steps < 1:
         raise ValueError("need at least one path and one step")
@@ -581,7 +590,7 @@ def integrate_block(
             raise ValueError(f"initial_coords must have shape ({M}, {d})")
         if not np.all(np.isfinite(initial_coords)):
             raise ValueError("initial coordinates must be finite")
-    footprint = increments.nbytes + 8 * M * (n_steps // record_stride + 1) * d
+    footprint = 8 * M * width + 8 * M * (n_steps // record_stride + 1) * d
     if footprint > _BLOCK_BUDGET:
         raise ResourceLimitError(
             f"block needs {footprint} bytes (> {_BLOCK_BUDGET}); split it into chunks"
@@ -646,20 +655,17 @@ def solve_ensemble(
 ) -> EnsembleResult:
     """Integrate one path per seed in lockstep over [0, max_time].
 
-    Generates the level-cfg.level member of each seed's Brownian family;
-    memory is budgeted, so large ensembles should be run in chunks of a
-    few hundred paths.
+    Streams the level-cfg.level member of each seed's Brownian family in
+    aligned time blocks (zero blocks with zero_noise), bitwise equal to
+    generate_matrix.  Memory is bounded by the number of seeds times the
+    block width plus the records, whatever the level; the width shrinks
+    as the ensemble grows, so chunks of a few hundred paths keep the
+    per-step overhead of the lockstep loop small.
     """
-    if len(seeds) == 0:
-        raise ValueError("need at least one seed")
-    if cfg.zero_noise:
-        inc = np.zeros((len(seeds), 2**cfg.level), dtype=np.float64)
-    else:
-        inc = generate_matrix(seeds, cfg.max_time, cfg.level)
     return integrate_block(
         params,
         cfg,
-        inc,
+        _BlockStream(seeds, cfg.max_time, cfg.level, zero=cfg.zero_noise),
         initial_coords=initial_coords,
         record_stride=record_stride,
         seeds=tuple(seeds),

@@ -58,6 +58,9 @@ __all__ = [
 # Memory budget: one level-24 path holds 2^24 increments (128 MiB).
 MAX_LEVEL = 24
 
+# Cells (paths x steps) of one block of a streamed increment matrix (16 MiB).
+_BLOCK_CELLS = 2**21
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MAGIC = b"BPATH1"
@@ -90,12 +93,17 @@ def _fresh_philox() -> np.random.Philox:
     return np.random.Philox(key=np.zeros(2, dtype=np.uint64))
 
 
-def _rekey(ph: np.random.Philox, seed: int, stream: int) -> None:
-    """Point `ph` at the start of the counter stream keyed (seed, stream)."""
+def _rekey(ph: np.random.Philox, seed: int, stream: int, offset: int = 0) -> None:
+    """Point `ph` at word `offset` of the counter stream keyed (seed, stream).
+
+    Philox yields four words per counter value and advances the counter
+    before each group, so words 4c..4c+3 come from counter c + 1: the
+    counter is set to offset // 4 and the first offset % 4 words dropped.
+    """
     ph.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
+            "counter": np.array([offset // 4, 0, 0, 0], dtype=np.uint64),
             "key": np.array([seed, stream], dtype=np.uint64),
         },
         "buffer": np.zeros(4, dtype=np.uint64),
@@ -103,13 +111,19 @@ def _rekey(ph: np.random.Philox, seed: int, stream: int) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
+    if offset % 4:
+        ph.random_raw(offset % 4)
 
 
 def _to_gauss(raw: np.ndarray, std: float) -> np.ndarray:
     """Map raw 64-bit words to N(0, std^2) by the documented uniform rule
     u = ((word >> 11) + 1/2) * 2^-53 and the inverse normal CDF."""
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u) * std
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    ndtri(u, out=u)
+    u *= std
+    return u
 
 
 def _check_seed(seed: int) -> None:
@@ -138,11 +152,16 @@ def _split_increments(parent: np.ndarray, xi: np.ndarray) -> np.ndarray:
     rounded sum equals the parent.  Cells with |left| > 2|p| are left
     alone: no representable exact split exists there (the cancellation
     floor in the module docstring) and the plain pair is already within
-    half an ulp of the children's scale.
+    half an ulp of the children's scale.  `xi` is overwritten as scratch.
     """
-    left = 0.5 * parent + xi
-    right = parent - left
-    bad = np.flatnonzero((left + right) != parent)
+    out = np.empty(parent.size * 2, dtype=np.float64)
+    left = out[0::2]
+    right = out[1::2]
+    np.multiply(parent, 0.5, out=left)
+    left += xi
+    np.subtract(parent, left, out=right)
+    np.add(left, right, out=xi)
+    bad = np.flatnonzero(xi != parent)
     if bad.size:
         feasible = np.abs(left[bad]) <= 2.0 * np.abs(parent[bad])
         idx = bad[feasible]
@@ -165,9 +184,6 @@ def _split_increments(parent: np.ndarray, xi: np.ndarray) -> np.ndarray:
                 done |= ok
             left[idx] = lft
             right[idx] = rgt
-    out = np.empty(parent.size * 2, dtype=np.float64)
-    out[0::2] = left
-    out[1::2] = right
     return out
 
 
@@ -242,36 +258,132 @@ class BrownianPath:
         return acc
 
 
+def _matrix_seeds(seeds, horizon: float, level: int) -> tuple[int, ...]:
+    """Validated (seeds, horizon, level) of an increment matrix; the seeds as a tuple."""
+    _check_level(level)
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    for s in seeds:
+        _check_seed(s)
+    return seeds
+
+
+def _refine_rows(inc, seeds, horizon: float, level: int, cell: int, depth: int, ph) -> np.ndarray:
+    """Refine rows of consecutive level-`level` cells `depth` levels down.
+
+    Row i belongs to seeds[i] and its first cell is level-`level` cell
+    `cell`.  The displacement of parent cell p at child level j is word p
+    of the Philox stream (seed, j), so any aligned run of cells refines on
+    its own, bitwise as it would inside the whole row.
+    """
+    m = len(seeds)
+    for j in range(level + 1, level + depth + 1):
+        n = inc.shape[1]
+        raw = np.empty((m, n), dtype=np.uint64)
+        for i, s in enumerate(seeds):
+            _rekey(ph, s, j, cell)
+            raw[i] = ph.random_raw(n)
+        xi = _to_gauss(raw, math.sqrt(horizon * 2.0 ** -(j + 1)))
+        del raw
+        inc = _split_increments(inc.ravel(), xi.ravel()).reshape(m, 2 * n)
+        cell *= 2
+    return inc
+
+
+def _pairwise_sums(rows: np.ndarray, halvings: int) -> np.ndarray:
+    """Sum adjacent cells of each row `halvings` times, in the refinement tree's order."""
+    for _ in range(halvings):
+        rows = rows[:, 0::2] + rows[:, 1::2]
+    return rows
+
+
 def generate_matrix(seeds, horizon: float, level: int) -> np.ndarray:
     """Increment rows for many seeds at once; row i is bitwise identical
     to generate(seeds[i], horizon, level).increments.
 
-    The per-level Gaussian mapping and bridge splits run on the whole
-    block, which is much faster than per-path generation for ensembles.
+    The per-level Gaussian mapping and bridge splits run on all rows at
+    once, which is much faster than per-path generation for ensembles.
+    The result and its split temporaries take a few times
+    8 * len(seeds) * 2^level bytes; solvers that only walk the matrix in
+    time order draw it block by block instead (`_BlockStream`).
     """
-    _check_level(level)
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-    m = len(seeds)
-    if m == 0:
-        raise ValueError("need at least one seed")
-    for s in seeds:
-        _check_seed(s)
+    seeds = _matrix_seeds(seeds, horizon, level)
     ph = _fresh_philox()
-    raw = np.empty((m, 1), dtype=np.uint64)
+    raw = np.empty((len(seeds), 1), dtype=np.uint64)
     for i, s in enumerate(seeds):
         _rekey(ph, s, 0)
         raw[i] = ph.random_raw(1)
-    inc = _to_gauss(raw, math.sqrt(horizon))
-    for j in range(1, level + 1):
-        n = 2 ** (j - 1)
-        raw = np.empty((m, n), dtype=np.uint64)
-        for i, s in enumerate(seeds):
-            _rekey(ph, s, j)
-            raw[i] = ph.random_raw(n)
-        xi = _to_gauss(raw, math.sqrt(horizon * 2.0 ** -(j + 1)))
-        inc = _split_increments(inc.ravel(), xi.ravel()).reshape(m, 2 * n)
-    return inc
+    return _refine_rows(_to_gauss(raw, math.sqrt(horizon)), seeds, horizon, 0, 0, level, ph)
+
+
+class _BlockStream:
+    """The level-`level` increment rows of `seeds`, produced in aligned time blocks.
+
+    Iterating yields (paths, width) blocks whose concatenation is bitwise
+    generate_matrix(seeds, horizon, level), or zero blocks with `zero`.
+    The width is the largest power of two with paths * width <=
+    _BLOCK_CELLS, capped at 2^level.  A pass draws the level-`top` matrix
+    (top = level - log2 width) with generate_matrix and then refines each
+    of its cells on its own, so it never holds more than one block and
+    that block's split temporaries.  `shape` is the shape of the whole
+    matrix, which is never built.
+
+    With `record_level`, a pass also writes the pairwise sums of the
+    increments at that level into `recorded`, (paths, 2^record_level),
+    bitwise equal to coarsening the whole matrix; a block narrower than
+    one recorded cell is summed on across blocks.
+    """
+
+    def __init__(self, seeds, horizon: float, level: int, *, zero: bool = False,
+                 record_level: int | None = None):
+        self.seeds = _matrix_seeds(seeds, horizon, level)
+        self.horizon = horizon
+        self.level = level
+        self.zero = zero
+        m = len(self.seeds)
+        self.shape = (m, 2**level)
+        self.width = min(2**level, 1 << max(0, (_BLOCK_CELLS // m).bit_length() - 1))
+        self.record_level = record_level
+        self.recorded = None
+        if record_level is not None:
+            if not 0 <= record_level <= level:
+                raise ValueError(f"record_level must lie in [0, {level}], got {record_level}")
+            self.recorded = np.empty((m, 2**record_level), dtype=np.float64)
+
+    def __iter__(self):
+        m, width = self.shape[0], self.width
+        depth = width.bit_length() - 1
+        top = self.level - depth
+        cells = None if self.zero else generate_matrix(self.seeds, self.horizon, top)
+        ph = _fresh_philox()
+        stage = None
+        if self.recorded is not None:
+            # each block is summed down to level `mid`, at most to one cell
+            halvings = min(depth, self.level - self.record_level)
+            mid = self.level - halvings
+            per = width >> halvings
+            stage = self.recorded if mid == self.record_level else np.empty((m, 2**mid))
+
+        def block(c):
+            if cells is None:
+                out = np.zeros((m, width), dtype=np.float64)
+            else:
+                out = _refine_rows(
+                    cells[:, c : c + 1], self.seeds, self.horizon, top, c, depth, ph
+                )
+            if stage is not None:
+                stage[:, c * per : (c + 1) * per] = _pairwise_sums(out, halvings)
+            return out
+
+        # Yield the call itself: a local name would keep each block alive
+        # in this suspended frame while the consumer works on it.
+        for c in range(2**top):
+            yield block(c)
+        if stage is not None and stage is not self.recorded:
+            self.recorded[...] = _pairwise_sums(stage, mid - self.record_level)
 
 
 def generate(seed: int, horizon: float, level: int) -> BrownianPath:

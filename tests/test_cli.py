@@ -80,6 +80,16 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_unwritable_trace_exits_2(self, tmp_path, capsys):
+        # an I/O failure is a runtime error, not a failed invariant check
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        code = main(["simulate", "--level", "4", "--ensemble", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chainsde: error:") and err.count("\n") == 1
+        assert "trace.csv" in err
+
     def test_inconsistent_origin_eps(self, tmp_path):
         code = main(
             ["simulate", "--band-n", "4", "--origin-eps", "0.5",

@@ -1,0 +1,161 @@
+"""Time-block streaming of the noise and the lockstep kernel.
+
+The block stream must reproduce generate_matrix bit for bit at every
+block width, and solves that walk it must not depend on the width.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from chainsde import noise
+from chainsde.core import ChainState, SystemParams
+from chainsde.coupling import InitJitter, ResolutionSplit, coupled_ensemble
+from chainsde.integrator import SolveConfig, integrate_block, solve_ensemble
+from chainsde.noise import (
+    _BlockStream,
+    _fresh_philox,
+    _pairwise_sums,
+    _rekey,
+    generate_matrix,
+    path_seed,
+)
+
+SEEDS = tuple(path_seed(71, i) for i in range(5))
+
+
+def params_at(coords, alpha=0.9):
+    return SystemParams(alpha, len(coords), ChainState(0.0, coords))
+
+
+def set_width(monkeypatch, paths, width):
+    monkeypatch.setattr(noise, "_BLOCK_CELLS", paths * width)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockStream:
+    @pytest.mark.parametrize("offset", range(10))
+    def test_rekey_offset_reads_on_from_that_word(self, offset):
+        ph = _fresh_philox()
+        _rekey(ph, SEEDS[0], 3)
+        whole = ph.random_raw(offset + 7)
+        _rekey(ph, SEEDS[0], 3, offset)
+        assert np.array_equal(ph.random_raw(7), whole[offset:])
+
+    @pytest.mark.parametrize("level", [0, 3, 9])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 2**9, 2**11])
+    def test_blocks_concatenate_to_generate_matrix(self, monkeypatch, level, width):
+        # widths 1 and 2 refine from cells whose Philox offsets are not
+        # multiples of four; 2^11 exceeds every row and is capped
+        set_width(monkeypatch, len(SEEDS), width)
+        stream = _BlockStream(SEEDS, 0.7, level)
+        assert stream.width == min(width, 2**level)
+        assert stream.shape == (len(SEEDS), 2**level)
+        blocks = list(stream)
+        assert all(b.shape == (len(SEEDS), stream.width) for b in blocks)
+        full = generate_matrix(SEEDS, 0.7, level)
+        assert np.array_equal(bits(np.concatenate(blocks, axis=1)), bits(full))
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 64, 2**9])
+    @pytest.mark.parametrize("record_level", [0, 4, 7, 9])
+    def test_recorded_sums_match_coarsened_matrix(self, monkeypatch, width, record_level):
+        set_width(monkeypatch, len(SEEDS), width)
+        stream = _BlockStream(SEEDS, 0.7, 9, record_level=record_level)
+        for _ in stream:
+            pass
+        want = _pairwise_sums(generate_matrix(SEEDS, 0.7, 9), 9 - record_level)
+        assert np.array_equal(bits(stream.recorded), bits(want))
+
+    def test_zero_stream(self, monkeypatch):
+        set_width(monkeypatch, len(SEEDS), 4)
+        blocks = list(_BlockStream(SEEDS, 0.7, 5, zero=True))
+        assert len(blocks) == 8
+        assert all(not b.any() for b in blocks)
+
+    def test_width_budget(self):
+        # 2^21 cells a block: 2^13 steps at 256 paths, capped at the row length
+        assert _BlockStream(SEEDS[:1] * 256, 1.0, 18).width == 2**13
+        assert _BlockStream(SEEDS[:1] * 256, 1.0, 12).width == 2**12
+        assert _BlockStream(SEEDS[:1] * 3, 1.0, 24).width == 2**19
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            _BlockStream((), 1.0, 4)
+        with pytest.raises(ValueError):
+            _BlockStream(SEEDS, 1.0, 4, record_level=5)
+
+
+def assert_same_ensemble(a, b):
+    assert np.array_equal(a.stop_reasons, b.stop_reasons)
+    assert np.array_equal(a.stop_indices, b.stop_indices)
+    assert np.array_equal(bits(a.coords), bits(b.coords))
+
+
+class TestWidthIndependence:
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("stride", [1, 16])
+    def test_solve_ensemble(self, monkeypatch, zero_noise, stride):
+        par = params_at((0.0, 0.3, 0.0))
+        cfg = SolveConfig(level=9, band_n=2, max_time=4.0, continue_after_stop=True,
+                          zero_noise=zero_noise)
+        seeds = [path_seed(29, i) for i in range(8)]
+        default = solve_ensemble(par, cfg, seeds, record_stride=stride)
+        # the materialised matrix is the one-block case
+        inc = np.zeros((8, 2**9)) if zero_noise else generate_matrix(seeds, 4.0, 9)
+        assert_same_ensemble(default, integrate_block(par, cfg, inc, record_stride=stride))
+        for width in (1, 4, 32):
+            set_width(monkeypatch, len(seeds), width)
+            assert_same_ensemble(default, solve_ensemble(par, cfg, seeds, record_stride=stride))
+
+    def test_single_path_solve(self, monkeypatch):
+        par = params_at((0.0, 1.0, 0.0))
+        cfg = SolveConfig(level=8, band_n=6, max_time=1.0)
+        default = solve_ensemble(par, cfg, [SEEDS[0]])
+        set_width(monkeypatch, 1, 8)
+        assert_same_ensemble(default, solve_ensemble(par, cfg, [SEEDS[0]]))
+
+    @pytest.mark.parametrize(
+        "pert, zero_noise",
+        [
+            # a 4-step block is narrower than one level-6 cell (16 steps)
+            (ResolutionSplit(6, 10), False),
+            (ResolutionSplit(10, 6), False),
+            (InitJitter(1e-4), False),
+            (ResolutionSplit(6, 10), True),
+        ],
+    )
+    def test_coupled_ensemble(self, monkeypatch, pert, zero_noise):
+        par = params_at((0.0, 1.0, 0.0))
+        cfg = SolveConfig(level=6, band_n=8, max_time=0.25, zero_noise=zero_noise)
+        seeds = [path_seed(43, i) for i in range(6)]
+        default = coupled_ensemble(par, seeds, pert, cfg, max_trace_points=33)
+        for width in (1, 4, 64):
+            set_width(monkeypatch, len(seeds), width)
+            runs = coupled_ensemble(par, seeds, pert, cfg, max_trace_points=33)
+            for a, b in zip(default, runs, strict=True):
+                assert np.array_equal(bits(a.divergence), bits(b.divergence))
+        if zero_noise:
+            assert all(not run.sq_diff.any() for run in default)
+
+
+def test_memory_does_not_grow_with_level(monkeypatch):
+    # The block width is pinned to the level-13 row length, so level 13
+    # is one block and level 16 eight; the default width would make the
+    # level-16 blocks four times wider than the whole level-13 matrix.
+    par = params_at((0.0, 1.0, 0.0))
+    seeds = [path_seed(2, i) for i in range(64)]
+    set_width(monkeypatch, len(seeds), 2**13)
+    peaks = {}
+    for level in (13, 16):
+        cfg = SolveConfig(level=level, band_n=8, max_time=1.0)
+        tracemalloc.start()
+        try:
+            solve_ensemble(par, cfg, seeds, record_stride=2**10)
+            peaks[level] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 2 * peaks[13]
