@@ -45,6 +45,9 @@ __all__ = [
 
 _TN_KINDS = (CaseKind.CASE_III, CaseKind.CASE_IV_ZPOS, CaseKind.CASE_IV_ZNEG)
 
+# seeds per convergence_errors call of convergence_order
+_CONVERGENCE_CHUNK = 200
+
 
 @dataclass(frozen=True)
 class BoundRecord:
@@ -87,9 +90,6 @@ class InvariantReport:
     @property
     def all_passed(self) -> bool:
         return all(rec.passed for rec in self.records)
-
-    def __add__(self, other: "InvariantReport") -> "InvariantReport":
-        return InvariantReport(self.records + other.records)
 
 
 def _step_tolerance(times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -295,6 +295,22 @@ def fit_order(steps, mean_errors) -> float | None:
     return float(np.polyfit(np.log(steps[mask]), np.log(mean_errors[mask]), 1)[0])
 
 
+def _fold_convergence(levels, horizon: float, errors: np.ndarray) -> ConvergenceResult:
+    """Mean error per level, exactness and fitted order of a (levels x paths) error matrix."""
+    mean_errors = errors.mean(axis=1)
+    steps = tuple(horizon * 2.0**-lv for lv in levels)
+    all_exact = bool(np.all(mean_errors == 0.0))
+    order = None if all_exact else fit_order(steps, mean_errors)
+    return ConvergenceResult(
+        levels=tuple(levels),
+        steps=steps,
+        mean_errors=tuple(float(e) for e in mean_errors),
+        per_path_errors=errors,
+        order=order,
+        all_exact=all_exact,
+    )
+
+
 def convergence_order(
     params: SystemParams,
     cfg: SolveConfig,
@@ -302,8 +318,6 @@ def convergence_order(
     level_ref: int,
     M: int,
     master_seed: int = 0,
-    *,
-    chunk: int = 200,
 ) -> ConvergenceResult:
     """Strong error per level against the level_ref run on shared noise.
 
@@ -322,22 +336,10 @@ def convergence_order(
         raise ValueError("need at least one path")
     seeds = [path_seed(master_seed, i) for i in range(M)]
     parts = [
-        convergence_errors(params, cfg, levels, level_ref, seeds[lo : lo + chunk])
-        for lo in range(0, M, chunk)
+        convergence_errors(params, cfg, levels, level_ref, seeds[lo : lo + _CONVERGENCE_CHUNK])
+        for lo in range(0, M, _CONVERGENCE_CHUNK)
     ]
-    errors = np.concatenate(parts, axis=1)
-    mean_errors = errors.mean(axis=1)
-    steps = tuple(cfg.max_time * 2.0**-lv for lv in levels)
-    all_exact = bool(np.all(mean_errors == 0.0))
-    order = None if all_exact else fit_order(steps, mean_errors)
-    return ConvergenceResult(
-        levels=levels,
-        steps=steps,
-        mean_errors=tuple(float(e) for e in mean_errors),
-        per_path_errors=errors,
-        order=order,
-        all_exact=all_exact,
-    )
+    return _fold_convergence(levels, cfg.max_time, np.concatenate(parts, axis=1))
 
 
 def evaluate_case_bounds(

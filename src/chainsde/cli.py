@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .config import COMMANDS, SCHEMES, ExperimentConfig, parse_config_file
 from .errors import ChainSDEError, ConfigError
 from . import runner
-
-
-def _int_list(text: str) -> str:
-    return text  # parsed by ExperimentConfig coercion
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -34,7 +31,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--initial-z", type=float, help="initial z coordinate (order 3)")
     g.add_argument("--band-n", type=int, help="band level n of the annulus (2^-n, 2^n)")
     g.add_argument("--level", type=int, help="grid level (2^level steps over the horizon)")
-    g.add_argument("--levels", type=_int_list, help="comma-separated levels (converge)")
+    g.add_argument("--levels", help="comma-separated levels (converge)")
     g.add_argument("--level-ref", type=int, help="reference level (converge)")
     g.add_argument("--horizon", type=float, help="integration horizon")
     g.add_argument("--ensemble", type=int, help="number of paths")
@@ -110,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     except ChainSDEError as exc:
         print(f"chainsde: error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MemoryError) as exc:
+    except (OSError, MemoryError, BrokenProcessPool) as exc:
         # exit 1 is kept for failed invariant checks
         print(f"chainsde: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

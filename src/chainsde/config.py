@@ -62,10 +62,15 @@ class ExperimentConfig:
             raise ConfigError(f"level must be >= 0, got {self.level}")
         if not self.levels or any(lv < 0 for lv in self.levels):
             raise ConfigError(f"levels must be a non-empty list of ints >= 0, got {self.levels}")
-        if self.level_ref <= max(self.levels) and self.command == "converge":
-            raise ConfigError(
-                f"level_ref ({self.level_ref}) must exceed every entry of levels {self.levels}"
-            )
+        if self.command == "converge":
+            if len(self.levels) < 2:
+                raise ConfigError("converge needs at least two levels to fit an order")
+            if len(set(self.levels)) != len(self.levels):
+                raise ConfigError("levels must be distinct")
+            if self.level_ref <= max(self.levels):
+                raise ConfigError(
+                    f"level_ref ({self.level_ref}) must exceed every entry of levels {self.levels}"
+                )
         if not self.horizon > 0.0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon}")
         if self.ensemble < 1:

@@ -210,7 +210,8 @@ def coupled_ensemble(
 
     The finer solve streams its noise in time blocks and records the
     blocks' pairwise sums at the coarser level, bitwise the coarsened
-    increments, which the coarser solve then integrates.  Divergence is
+    increments, which the coarser solve then integrates; when both run at
+    one level, each streams the same noise on its own.  Divergence is
     recorded on the coarser common grid decimated to at most
     max_trace_points points (always keeping t = 0 and the horizon).
     Trajectories are not retained.
@@ -236,15 +237,21 @@ def coupled_ensemble(
             record_stride=stride, seeds=tuple(seeds),
         )
 
-    noise = _BlockStream(seeds, cfg.max_time, hi, zero=cfg.zero_noise, record_level=lo)
-    # The finer solve runs first: its pass over the stream fills
-    # noise.recorded, the increments of the coarser solve.
+    if lo == hi:
+        # Both solves walk the one stream, which regenerates bitwise on
+        # each pass; nothing of paths x 2^level is held.
+        noise = coarse = _BlockStream(seeds, cfg.max_time, hi, zero=cfg.zero_noise)
+    else:
+        # The finer solve runs first: its pass over the stream fills
+        # noise.recorded, the increments of the coarser solve.
+        noise = _BlockStream(seeds, cfg.max_time, hi, zero=cfg.zero_noise, record_level=lo)
+        coarse = noise.recorded
     if cfg_a.level >= cfg_b.level:
         run_a = integrate(cfg_a, params.initial.coords, stride_a, noise)
-        run_b = integrate(cfg_b, init_b, stride_b, noise.recorded)
+        run_b = integrate(cfg_b, init_b, stride_b, coarse)
     else:
         run_b = integrate(cfg_b, init_b, stride_b, noise)
-        run_a = integrate(cfg_a, params.initial.coords, stride_a, noise.recorded)
+        run_a = integrate(cfg_a, params.initial.coords, stride_a, coarse)
 
     runs = []
     for i, seed in enumerate(seeds):

@@ -131,17 +131,6 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
-def _gaussians(
-    seed: int, stream: int, count: int, std: float, ph: np.random.Philox | None = None
-) -> np.ndarray:
-    """`count` centred Gaussians of deviation `std` from Philox key (seed, stream)."""
-    _check_seed(seed)
-    if ph is None:
-        ph = _fresh_philox()
-    _rekey(ph, seed, stream)
-    return _to_gauss(ph.random_raw(count), std)
-
-
 def _split_increments(parent: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Interleave bridge children (p/2 + xi, p - (p/2 + xi)) of each parent.
 
@@ -405,13 +394,10 @@ def refine(path: BrownianPath) -> BrownianPath:
     the fine ones.
     """
     _check_level(path.level + 1)
-    xi = _gaussians(
-        path.seed, path.level + 1, path.increments.size,
-        math.sqrt(path.horizon * 2.0 ** -(path.level + 2)),
+    children = _refine_rows(
+        path.increments[None, :], (path.seed,), path.horizon, path.level, 0, 1, _fresh_philox()
     )
-    return BrownianPath(
-        path.seed, path.horizon, path.level + 1, _split_increments(path.increments, xi)
-    )
+    return BrownianPath(path.seed, path.horizon, path.level + 1, children[0])
 
 
 def coarsen(path: BrownianPath, level: int) -> BrownianPath:

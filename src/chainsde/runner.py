@@ -1,11 +1,17 @@
 """Experiment orchestration and bit-stable output writing.
 
-Each command resolves its configuration, splits the ensemble into
-fixed-size chunks of paths, evaluates the chunks on a bounded worker
-pool (processes; inline when workers = 1), and folds the results back in
-path order.  Chunk boundaries depend only on the ensemble size, so the
-output files are byte-identical for any worker count.  Numeric cells are
-written with shortest round-trip formatting and summaries as
+Every command runs through one path, `run`.  It resolves the worker
+count, creates the output directory, derives the per-path seeds and
+splits them into fixed-size chunks.  It then hands the command's body
+(looked up in the command table `_COMMANDS`) the configuration, the
+seeds, an `over_chunks(task)` that evaluates the command's worker task
+on every chunk over a bounded pool (processes; inline when workers = 1)
+and returns the parts in path order, and the output directory.  The body
+folds the parts and returns the trace header and rows, its summary
+fields and its named checks; `run` writes trace.csv and summary.json and
+picks the exit code.  Chunk boundaries depend only on the ensemble size,
+so the output files are byte-identical for any worker count.  Numeric
+cells are written with shortest round-trip formatting and summaries as
 sorted-key JSON, with no timestamps or machine-specific content.
 
 Outputs per run: <out_dir>/summary.json (config echo, checks, command
@@ -29,10 +35,10 @@ import numpy as np
 from .analysis import (
     BoundRecord,
     InvariantReport,
+    _fold_convergence,
     convergence_errors,
     evaluate_case_bounds,
     excursion_scan,
-    fit_order,
 )
 from .config import ExperimentConfig
 from .core import ChainState, SystemParams
@@ -90,8 +96,15 @@ def _system_params(config: ExperimentConfig) -> SystemParams:
         raise ConfigError(f"bad initial state or alpha: {exc}") from None
 
 
-def _scheme(config: ExperimentConfig) -> Scheme:
-    return Scheme(config.scheme)
+def _solve_config(config: ExperimentConfig) -> SolveConfig:
+    return SolveConfig(
+        level=config.level,
+        band_n=config.band_n,
+        max_time=config.horizon,
+        scheme=Scheme(config.scheme),
+        origin_eps=config.origin_eps,
+        zero_noise=config.zero_noise,
+    )
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
@@ -168,32 +181,27 @@ def _auto_stride(config: ExperimentConfig, n_steps: int) -> int:
                 f"trace_stride {config.trace_stride} must divide the step count {n_steps}"
             )
         return config.trace_stride
-    stride = max(1, n_steps // 128)
-    return stride
+    return max(1, n_steps // 128)
 
+
+# Each command is a worker task and a body.  Both call the public
+# functions by module-global name, so wrappers installed on this module's
+# attributes (tracing, tests) see every call; _COMMANDS therefore holds
+# the bodies, never those functions themselves.
 
 # ---------------------------------------------------------------- simulate
 
 
 def _simulate_task(arg):
     config, seeds = arg
-    params = _system_params(config)
-    cfg = SolveConfig(
-        level=config.level,
-        band_n=config.band_n,
-        max_time=config.horizon,
-        scheme=_scheme(config),
-        origin_eps=config.origin_eps,
-        zero_noise=config.zero_noise,
-    )
     stride = _auto_stride(config, 2**config.level)
-    ens = solve_ensemble(params, cfg, seeds, record_stride=stride)
+    ens = solve_ensemble(_system_params(config), _solve_config(config), seeds,
+                         record_stride=stride)
     return ens.times, ens.coords, ens.stop_reasons, ens.stop_indices
 
 
-def _run_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    seeds = _seeds(config)
-    parts = _run_tasks(_simulate_task, [(config, c) for c in _chunked(seeds, CHUNK)], workers)
+def _simulate(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
+    parts = over_chunks(_simulate_task)
     times = parts[0][0]
     coords = np.concatenate([p[1] for p in parts], axis=0)
     reasons = np.concatenate([p[2] for p in parts])
@@ -208,7 +216,6 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
             if config.chain_order == 2:
                 row.append(None)
             rows.append(row)
-    _write_csv(out_dir / "trace.csv", ["path", "seed", "time", "x", "y", "z"], rows)
 
     if config.dump_paths:
         pdir = out_dir / "paths"
@@ -222,19 +229,14 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
         for code in sorted(set(reasons.tolist()))
     }
     stop_times = indices * h
-    payload = {
-        "command": "simulate",
-        "config": config.to_mapping(),
+    fields = {
         "n_paths": len(seeds),
         "stop_counts": stop_counts,
         "stop_time_min": float(stop_times.min()),
         "stop_time_mean": float(stop_times.mean()),
         "stop_time_max": float(stop_times.max()),
-        "checks": {},
-        "exit_code": 0,
     }
-    _write_summary(out_dir, payload)
-    return 0
+    return ["path", "seed", "time", "x", "y", "z"], rows, fields, {}
 
 
 # ---------------------------------------------------------------- bounds
@@ -242,22 +244,20 @@ def _run_simulate(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 def _bounds_task(arg):
     config, seeds = arg
-    params = _system_params(config)
-    records = evaluate_case_bounds(
-        params,
+    return evaluate_case_bounds(
+        _system_params(config),
         config.band_n,
         seeds,
         config.level,
-        scheme=_scheme(config),
+        scheme=Scheme(config.scheme),
         zero_noise=config.zero_noise,
         abs_tol_case=1e-9 if config.tol_abs is None else config.tol_abs,
         abs_tol_apriori=config.tol_abs,
         step_scale=config.tol_step_scale,
     )
-    return records
 
 
-def _run_bounds(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def _bounds(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     if config.chain_order != 3:
         raise ConfigError("bounds requires chain_order 3 (the case machinery is 3-d)")
     params = _system_params(config)
@@ -266,9 +266,7 @@ def _run_bounds(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad initial state for bounds: {exc}") from None
     window = guaranteed_window(label, params.initial, config.band_n)
-    seeds = _seeds(config)
-    parts = _run_tasks(_bounds_task, [(config, c) for c in _chunked(seeds, CHUNK)], workers)
-    records: list[BoundRecord] = [rec for part in parts for rec in part]
+    records: list[BoundRecord] = [rec for part in over_chunks(_bounds_task) for rec in part]
     report = InvariantReport(tuple(records))
 
     rows = [
@@ -276,26 +274,16 @@ def _run_bounds(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
          rec.passed]
         for rec in records
     ]
-    _write_csv(
-        out_dir / "trace.csv",
-        ["seed", "label", "inequality", "window", "margin", "tol", "passed"],
-        rows,
-    )
-    rates = report.pass_rates()
-    payload = {
-        "command": "bounds",
-        "config": config.to_mapping(),
+    fields = {
         "case_label": str(label),
         "band_n": config.band_n,
         "window": window,
         "n_paths": len(seeds),
-        "pass_rates": rates,
+        "pass_rates": report.pass_rates(),
         "worst_margins": report.worst_margins(),
-        "checks": {"all_bounds_hold": report.all_passed},
-        "exit_code": 0 if report.all_passed else 1,
     }
-    _write_summary(out_dir, payload)
-    return 0 if report.all_passed else 1
+    header = ["seed", "label", "inequality", "window", "margin", "tol", "passed"]
+    return header, rows, fields, {"all_bounds_hold": report.all_passed}
 
 
 # ---------------------------------------------------------------- couple
@@ -303,27 +291,18 @@ def _run_bounds(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 def _couple_task(arg):
     config, seeds = arg
-    params = _system_params(config)
-    pert = parse_perturbation(config.perturbation)
-    cfg = SolveConfig(
-        level=config.level,
-        band_n=config.band_n,
-        max_time=config.horizon,
-        scheme=_scheme(config),
-        origin_eps=config.origin_eps,
-        zero_noise=config.zero_noise,
+    runs = coupled_ensemble(
+        _system_params(config), seeds, parse_perturbation(config.perturbation),
+        _solve_config(config),
     )
-    runs = coupled_ensemble(params, seeds, pert, cfg)
     return [(run.path_seed, run.divergence) for run in runs]
 
 
-def _run_couple(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def _couple(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     params = _system_params(config)
     pert = parse_perturbation(config.perturbation)
-    seeds = _seeds(config)
-    parts = _run_tasks(_couple_task, [(config, c) for c in _chunked(seeds, CHUNK)], workers)
     runs = [
-        CoupledRun(seed, pert, div) for part in parts for seed, div in part
+        CoupledRun(seed, pert, div) for part in over_chunks(_couple_task) for seed, div in part
     ]
     trace = estimate_divergence(runs)
 
@@ -333,7 +312,6 @@ def _run_couple(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
             trace.times, trace.D, trace.D_abs, trace.stderr, trace.counts
         )
     ]
-    _write_csv(out_dir / "trace.csv", ["time", "D", "D_abs", "stderr", "count"], rows)
 
     checks: dict[str, bool] = {}
     if isinstance(pert, InitJitter) and pert.delta == 0.0:
@@ -359,21 +337,15 @@ def _run_couple(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
                 "window": chk.window,
             }
 
-    ok = all(checks.values())
-    payload = {
-        "command": "couple",
-        "config": config.to_mapping(),
+    fields = {
         "perturbation": config.perturbation,
         "n_runs": len(runs),
         "terminal_D": float(trace.D[-1]),
         "terminal_stderr": float(trace.stderr[-1]),
         "terminal_count": int(trace.counts[-1]),
         "kernel_check": kernel,
-        "checks": checks,
-        "exit_code": 0 if ok else 1,
     }
-    _write_summary(out_dir, payload)
-    return 0 if ok else 1
+    return ["time", "D", "D_abs", "stderr", "count"], rows, fields, checks
 
 
 # ---------------------------------------------------------------- excursions
@@ -381,16 +353,8 @@ def _run_couple(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 def _excursions_task(arg):
     config, seeds = arg
-    params = _system_params(config)
-    cfg = SolveConfig(
-        level=config.level,
-        band_n=config.band_n,
-        max_time=config.horizon,
-        scheme=_scheme(config),
-        origin_eps=config.origin_eps,
-        zero_noise=config.zero_noise,
-    )
-    ens = solve_ensemble(params, cfg, seeds)
+    cfg = _solve_config(config)
+    ens = solve_ensemble(_system_params(config), cfg, seeds)
     out = []
     for i in range(ens.n_paths):
         stats = excursion_scan(ens.trajectory(i), cfg.origin_tolerance)
@@ -398,36 +362,28 @@ def _excursions_task(arg):
     return out
 
 
-def _run_excursions(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    seeds = _seeds(config)
-    parts = _run_tasks(_excursions_task, [(config, c) for c in _chunked(seeds, CHUNK)], workers)
+def _excursions(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     rows = []
     min_gaps = []
     counts = []
-    for part in parts:
+    for part in over_chunks(_excursions_task):
         for seed, hits, gaps in part:
             counts.append(hits.size)
             if gaps.size:
                 min_gaps.append(float(gaps.min()))
             for j, t in enumerate(hits):
                 rows.append([seed, j, float(t), float(gaps[j - 1]) if j else None])
-    _write_csv(out_dir / "trace.csv", ["seed", "hit_index", "hit_time", "gap"], rows)
 
-    gaps_positive = all(g > 0.0 for g in min_gaps)
-    payload = {
-        "command": "excursions",
-        "config": config.to_mapping(),
+    fields = {
         "n_paths": len(seeds),
         "total_hits": int(sum(counts)),
         "paths_with_returns": len(min_gaps),
         "min_gap": min(min_gaps) if min_gaps else None,
         "min_gap_p5": float(np.percentile(min_gaps, 5.0)) if min_gaps else None,
         "min_gap_median": float(np.median(min_gaps)) if min_gaps else None,
-        "checks": {"gaps_positive": gaps_positive},
-        "exit_code": 0 if gaps_positive else 1,
     }
-    _write_summary(out_dir, payload)
-    return 0 if gaps_positive else 1
+    checks = {"gaps_positive": all(g > 0.0 for g in min_gaps)}
+    return ["seed", "hit_index", "hit_time", "gap"], rows, fields, checks
 
 
 # ---------------------------------------------------------------- converge
@@ -435,61 +391,39 @@ def _run_excursions(config: ExperimentConfig, out_dir: Path, workers: int) -> in
 
 def _converge_task(arg):
     config, seeds = arg
-    params = _system_params(config)
-    cfg = SolveConfig(
-        level=config.level,
-        band_n=config.band_n,
-        max_time=config.horizon,
-        scheme=_scheme(config),
-        origin_eps=config.origin_eps,
-        zero_noise=config.zero_noise,
+    return convergence_errors(
+        _system_params(config), _solve_config(config), config.levels, config.level_ref, seeds
     )
-    return convergence_errors(params, cfg, config.levels, config.level_ref, seeds)
 
 
-def _run_converge(config: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    if len(config.levels) < 2:
-        raise ConfigError("converge needs at least two levels to fit an order")
-    if len(set(config.levels)) != len(config.levels):
-        raise ConfigError("levels must be distinct")
-    seeds = _seeds(config)
-    parts = _run_tasks(_converge_task, [(config, c) for c in _chunked(seeds, CHUNK)], workers)
-    errors = np.concatenate(parts, axis=1)
-    mean_errors = errors.mean(axis=1)
-    steps = [config.horizon * 2.0**-lv for lv in config.levels]
-    all_exact = bool(np.all(mean_errors == 0.0))
-    order = None if all_exact else fit_order(steps, mean_errors)
+def _converge(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
+    errors = np.concatenate(over_chunks(_converge_task), axis=1)
+    result = _fold_convergence(config.levels, config.horizon, errors)
 
     rows = []
     for j, lv in enumerate(config.levels):
         for i, seed in enumerate(seeds):
             rows.append([lv, i, seed, float(errors[j, i])])
-    _write_csv(out_dir / "trace.csv", ["level", "path", "seed", "sup_error"], rows)
 
-    by_level = np.argsort(config.levels)
-    ordered = mean_errors[by_level]
-    monotone = all_exact or bool(np.all(np.diff(ordered) <= 0.0))
-    payload = {
-        "command": "converge",
-        "config": config.to_mapping(),
-        "levels": list(config.levels),
-        "steps": steps,
-        "mean_errors": [float(e) for e in mean_errors],
-        "fitted_order": order,
-        "exact": all_exact,
-        "checks": {"errors_nonincreasing_in_level": monotone},
-        "exit_code": 0 if monotone else 1,
+    ordered = np.asarray(result.mean_errors)[np.argsort(config.levels)]
+    monotone = result.all_exact or bool(np.all(np.diff(ordered) <= 0.0))
+    fields = {
+        "levels": result.levels,
+        "steps": result.steps,
+        "mean_errors": result.mean_errors,
+        "fitted_order": result.order,
+        "exact": result.all_exact,
     }
-    _write_summary(out_dir, payload)
-    return 0 if monotone else 1
+    checks = {"errors_nonincreasing_in_level": monotone}
+    return ["level", "path", "seed", "sup_error"], rows, fields, checks
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "bounds": _run_bounds,
-    "couple": _run_couple,
-    "excursions": _run_excursions,
-    "converge": _run_converge,
+_COMMANDS = {
+    "simulate": _simulate,
+    "bounds": _bounds,
+    "couple": _couple,
+    "excursions": _excursions,
+    "converge": _converge,
 }
 
 
@@ -505,4 +439,22 @@ def run(config: ExperimentConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ChainSDEError(f"cannot create output directory {out_dir}: {exc}") from None
-    return _RUNNERS[config.command](config, out_dir, workers)
+    seeds = _seeds(config)
+    tasks = [(config, chunk) for chunk in _chunked(seeds, CHUNK)]
+
+    def over_chunks(task):
+        return _run_tasks(task, tasks, workers)
+
+    header, rows, fields, checks = _COMMANDS[config.command](
+        config, seeds, over_chunks, out_dir
+    )
+    _write_csv(out_dir / "trace.csv", header, rows)
+    exit_code = 0 if all(checks.values()) else 1
+    _write_summary(out_dir, {
+        "command": config.command,
+        "config": config.to_mapping(),
+        **fields,
+        "checks": checks,
+        "exit_code": exit_code,
+    })
+    return exit_code

@@ -1,7 +1,9 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from chainsde import runner
 from chainsde.cli import main
 from chainsde.config import ExperimentConfig, parse_config_file
 from chainsde.errors import ConfigError
@@ -89,6 +91,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("chainsde: error:") and err.count("\n") == 1
         assert "trace.csv" in err
+
+    def test_killed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a worker lost to the operating system is a runtime error, not a
+        # failed invariant check
+        def broken(fn, tasks, workers):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(runner, "_run_tasks", broken)
+        code = main(["simulate", "--level", "4", "--ensemble", "2", "--workers", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chainsde: error:") and err.count("\n") == 1
+        assert "BrokenProcessPool" in err
 
     def test_inconsistent_origin_eps(self, tmp_path):
         code = main(
@@ -220,16 +236,28 @@ class TestCommands:
         assert summary["fitted_order"] is None
 
 
+# Every ensemble exceeds runner.CHUNK paths, so each command folds at
+# least two chunks, and with two workers they come from two processes.
+_WORKER_CASES = {
+    "simulate": ["simulate", "--level", "6", "--ensemble", "300", "--band-n", "6"],
+    "couple": ["couple", "--perturbation", "jitter:1e-3", "--level", "7", "--ensemble", "300",
+               "--horizon", "0.5", "--band-n", "6"],
+    "bounds": ["bounds", "--band-n", "4", "--level", "8", "--ensemble", "300"],
+    "excursions": ["excursions", "--initial-y", "0", "--initial-z", "1", "--band-n", "3",
+                   "--level", "8", "--horizon", "4.0", "--ensemble", "300"],
+    "converge": ["converge", "--levels", "5,7", "--level-ref", "9", "--ensemble", "600",
+                 "--horizon", "0.5", "--band-n", "6"],
+}
+
+
 class TestReproducibility:
-    def test_rerun_and_worker_count_byte_identical(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", list(_WORKER_CASES))
+    def test_rerun_and_worker_count_byte_identical(self, tmp_path, monkeypatch, command):
         out = tmp_path / "o"
         blobs = []
         for workers in ("1", "2", "1"):
             monkeypatch.setenv("CHAINSDE_WORKERS", workers)
-            code = main(
-                ["converge", "--levels", "5,7", "--level-ref", "9", "--ensemble", "600",
-                 "--horizon", "0.5", "--band-n", "6", "--seed", "11", "--out", str(out)]
-            )
+            code = main(_WORKER_CASES[command] + ["--seed", "11", "--out", str(out)])
             assert code == 0
             blobs.append(
                 ((out / "summary.json").read_bytes(), (out / "trace.csv").read_bytes())

@@ -11,7 +11,7 @@ import pytest
 
 from chainsde import noise
 from chainsde.core import ChainState, SystemParams
-from chainsde.coupling import InitJitter, ResolutionSplit, coupled_ensemble
+from chainsde.coupling import InitJitter, ResolutionSplit, SchemeSplit, coupled_ensemble
 from chainsde.integrator import SolveConfig, integrate_block, solve_ensemble
 from chainsde.noise import (
     _BlockStream,
@@ -126,6 +126,7 @@ class TestWidthIndependence:
             (ResolutionSplit(10, 6), False),
             (InitJitter(1e-4), False),
             (ResolutionSplit(6, 10), True),
+            (SchemeSplit(), False),
         ],
     )
     def test_coupled_ensemble(self, monkeypatch, pert, zero_noise):
@@ -146,16 +147,25 @@ def test_memory_does_not_grow_with_level(monkeypatch):
     # The block width is pinned to the level-13 row length, so level 13
     # is one block and level 16 eight; the default width would make the
     # level-16 blocks four times wider than the whole level-13 matrix.
+    # A jitter pair runs both solves at one level: neither may hold the
+    # whole increment matrix.
     par = params_at((0.0, 1.0, 0.0))
     seeds = [path_seed(2, i) for i in range(64)]
     set_width(monkeypatch, len(seeds), 2**13)
-    peaks = {}
-    for level in (13, 16):
-        cfg = SolveConfig(level=level, band_n=8, max_time=1.0)
-        tracemalloc.start()
-        try:
-            solve_ensemble(par, cfg, seeds, record_stride=2**10)
-            peaks[level] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[16] < 2 * peaks[13]
+    solves = {
+        "solve_ensemble": lambda cfg: solve_ensemble(par, cfg, seeds, record_stride=2**10),
+        "jitter coupled_ensemble": lambda cfg: coupled_ensemble(
+            par, seeds, InitJitter(1e-4), cfg, max_trace_points=65
+        ),
+    }
+    for name, run in solves.items():
+        peaks = {}
+        for level in (13, 16):
+            cfg = SolveConfig(level=level, band_n=8, max_time=1.0)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                peaks[level] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] < 2 * peaks[13], (name, peaks)
