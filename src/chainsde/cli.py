@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .config import COMMANDS, SCHEMES, ExperimentConfig, parse_config_file
 from .errors import ChainSDEError, ConfigError
@@ -107,8 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     except ChainSDEError as exc:
         print(f"chainsde: error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MemoryError, BrokenProcessPool) as exc:
-        # exit 1 is kept for failed invariant checks
+    except Exception as exc:
+        # any other failure (I/O, memory, a lost pool worker, a bug) is a
+        # runtime error; exit 1 is kept for failed invariant checks
         print(f"chainsde: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

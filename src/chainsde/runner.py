@@ -7,20 +7,28 @@ splits them into fixed-size chunks.  It then hands the command's body
 seeds, an `over_chunks(task)` that evaluates the command's worker task
 on every chunk over a bounded pool (processes; inline when workers = 1)
 and returns the parts in path order, and the output directory.  The body
-folds the parts and returns the trace header and rows, its summary
-fields and its named checks; `run` writes trace.csv and summary.json and
-picks the exit code.  Chunk boundaries depend only on the ensemble size,
-so the output files are byte-identical for any worker count.  Numeric
-cells are written with shortest round-trip formatting and summaries as
-sorted-key JSON, with no timestamps or machine-specific content.
+folds the parts and returns the trace header and columns (one per header
+field, all of one length), its summary fields and its named checks; `run`
+writes trace.csv and summary.json and picks the exit code.  Chunk
+boundaries depend only on the ensemble size, so the output files are
+byte-identical for any worker count.
+
+The trace is written column by column in blocks of rows: each block
+formats every column once by dtype (shortest round-trip `repr` for
+floats), with the same bytes as formatting each cell with `_fmt`.  The
+summary is sorted-key JSON, with no timestamps or machine-specific
+content.  Both files are written under temporary names and moved into
+place, trace first and summary last, after any summary of an earlier run
+is removed; a run that fails part way leaves no summary beside a fresh
+trace and no temporary file.
 
 Outputs per run: <out_dir>/summary.json (config echo, checks, command
 payload) and <out_dir>/trace.csv (per-path or per-time rows); simulate
 can additionally dump the Brownian paths in the binary BPATH1 format.
 
 Exit codes: 0 all checks passed, 1 an invariant check failed, 2 a
-configuration or runtime error (raised as ConfigError / ChainSDEError
-and mapped by the CLI).
+configuration or runtime error (ConfigError, ChainSDEError or any other
+exception, mapped by the CLI).
 """
 
 from __future__ import annotations
@@ -62,6 +70,9 @@ __all__ = ["run", "parse_perturbation", "CHUNK"]
 # paths per worker task; fixed so chunking (and therefore output bytes)
 # never depends on the worker count
 CHUNK = 256
+
+# trace.csv rows formatted and written at a time
+_WRITE_BLOCK = 8192
 
 _WORKERS_ENV = "CHAINSDE_WORKERS"
 
@@ -132,7 +143,7 @@ def _run_tasks(fn, tasks, workers):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -143,11 +154,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+_BOOL_TEXT = ("false", "true")
+
+
+def _format_column(column, lo: int, hi: int):
+    """The cells of rows [lo, hi) of one trace column, with `_fmt`'s bytes.
+
+    Numeric and bool arrays are formatted by dtype in one pass; any other
+    sequence goes through `_fmt`, and None stands for an all-empty column.
+    """
+    if column is None:
+        return [""] * (hi - lo)
+    part = column[lo:hi]
+    if isinstance(part, np.ndarray):
+        kind = part.dtype.kind
+        if kind == "f":
+            return map(repr, part.tolist())
+        if kind in "iu":
+            return map(str, part.tolist())
+        if kind == "b":
+            return map(_BOOL_TEXT.__getitem__, part.tolist())
+        part = part.tolist()
+    return map(_fmt, part)
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write one CSV row per index of `columns`, one column per header field.
+
+    Rows are formatted and written in blocks of _WRITE_BLOCK, column by
+    column: no per-row list is built, and array columns skip `_fmt`.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header fields")
+    lengths = {len(column) for column in columns if column is not None}
+    if len(lengths) > 1:
+        raise ValueError(f"trace columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n_rows, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, n_rows)
+            cells = [_format_column(column, lo, hi) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _json_safe(value):
@@ -164,10 +212,33 @@ def _json_safe(value):
     return value
 
 
-def _write_summary(out_dir: Path, payload: dict) -> None:
-    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
+def _write_summary(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_json_safe(payload), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_outputs(out_dir: Path, header, columns, payload: dict) -> None:
+    """Write trace.csv and summary.json under temporary names, then move
+    them into place, trace first and summary last.
+
+    A summary left by an earlier run is removed before the first move, so
+    a run that fails part way never leaves a fresh trace beside a stale
+    summary; the temporary files are removed on any failure.
+    """
+    trace, summary = out_dir / "trace.csv", out_dir / "summary.json"
+    tmp_trace = out_dir / f".trace.csv.{os.getpid()}.tmp"
+    tmp_summary = out_dir / f".summary.json.{os.getpid()}.tmp"
+    try:
+        _write_csv(tmp_trace, header, columns)
+        _write_summary(tmp_summary, payload)
+        summary.unlink(missing_ok=True)
+        os.replace(tmp_trace, trace)
+        os.replace(tmp_summary, summary)
+    except BaseException:
+        tmp_trace.unlink(missing_ok=True)
+        tmp_summary.unlink(missing_ok=True)
+        raise
 
 
 def _seeds(config: ExperimentConfig) -> list[int]:
@@ -208,14 +279,15 @@ def _simulate(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     indices = np.concatenate([p[3] for p in parts])
     h = config.horizon * 2.0**-config.level
 
-    rows = []
-    for i, seed in enumerate(seeds):
-        for r, t in enumerate(times):
-            row = [i, seed, float(t)]
-            row.extend(float(c) for c in coords[i, r])
-            if config.chain_order == 2:
-                row.append(None)
-            rows.append(row)
+    n_paths, n_times = coords.shape[:2]
+    columns = [
+        np.repeat(np.arange(n_paths), n_times),
+        np.repeat(np.asarray(seeds, dtype=np.uint64), n_times),
+        np.tile(times, n_paths),
+        *(coords[:, :, k].ravel() for k in range(coords.shape[2])),
+    ]
+    if config.chain_order == 2:
+        columns.append(None)
 
     if config.dump_paths:
         pdir = out_dir / "paths"
@@ -236,7 +308,7 @@ def _simulate(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
         "stop_time_mean": float(stop_times.mean()),
         "stop_time_max": float(stop_times.max()),
     }
-    return ["path", "seed", "time", "x", "y", "z"], rows, fields, {}
+    return ["path", "seed", "time", "x", "y", "z"], columns, fields, {}
 
 
 # ---------------------------------------------------------------- bounds
@@ -269,10 +341,9 @@ def _bounds(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     records: list[BoundRecord] = [rec for part in over_chunks(_bounds_task) for rec in part]
     report = InvariantReport(tuple(records))
 
-    rows = [
-        [rec.path_seed, rec.label, rec.inequality, rec.window, rec.margin, rec.tol,
-         rec.passed]
-        for rec in records
+    columns = [
+        [getattr(rec, name) for rec in records]
+        for name in ("path_seed", "label", "inequality", "window", "margin", "tol", "passed")
     ]
     fields = {
         "case_label": str(label),
@@ -283,7 +354,7 @@ def _bounds(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
         "worst_margins": report.worst_margins(),
     }
     header = ["seed", "label", "inequality", "window", "margin", "tol", "passed"]
-    return header, rows, fields, {"all_bounds_hold": report.all_passed}
+    return header, columns, fields, {"all_bounds_hold": report.all_passed}
 
 
 # ---------------------------------------------------------------- couple
@@ -306,12 +377,7 @@ def _couple(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     ]
     trace = estimate_divergence(runs)
 
-    rows = [
-        [float(t), float(d), float(da), float(se), int(c)]
-        for t, d, da, se, c in zip(
-            trace.times, trace.D, trace.D_abs, trace.stderr, trace.counts
-        )
-    ]
+    columns = [trace.times, trace.D, trace.D_abs, trace.stderr, trace.counts]
 
     checks: dict[str, bool] = {}
     if isinstance(pert, InitJitter) and pert.delta == 0.0:
@@ -345,7 +411,7 @@ def _couple(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
         "terminal_count": int(trace.counts[-1]),
         "kernel_check": kernel,
     }
-    return ["time", "D", "D_abs", "stderr", "count"], rows, fields, checks
+    return ["time", "D", "D_abs", "stderr", "count"], columns, fields, checks
 
 
 # ---------------------------------------------------------------- excursions
@@ -358,21 +424,21 @@ def _excursions_task(arg):
     out = []
     for i in range(ens.n_paths):
         stats = excursion_scan(ens.trajectory(i), cfg.origin_tolerance)
-        out.append((seeds[i], stats.hit_times, stats.gaps))
+        out.append((stats.hit_times, stats.gaps))
     return out
 
 
 def _excursions(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
-    rows = []
-    min_gaps = []
-    counts = []
-    for part in over_chunks(_excursions_task):
-        for seed, hits, gaps in part:
-            counts.append(hits.size)
-            if gaps.size:
-                min_gaps.append(float(gaps.min()))
-            for j, t in enumerate(hits):
-                rows.append([seed, j, float(t), float(gaps[j - 1]) if j else None])
+    paths = [item for part in over_chunks(_excursions_task) for item in part]
+    counts = [hits.size for hits, _ in paths]
+    min_gaps = [float(gaps.min()) for _, gaps in paths if gaps.size]
+    # one row per hit; the first hit of a path has no gap
+    columns = [
+        np.repeat(np.asarray(seeds, dtype=np.uint64), counts),
+        np.concatenate([np.arange(count) for count in counts]),
+        np.concatenate([hits for hits, _ in paths]),
+        [gap for hits, gaps in paths if hits.size for gap in (None, *gaps.tolist())],
+    ]
 
     fields = {
         "n_paths": len(seeds),
@@ -383,7 +449,7 @@ def _excursions(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
         "min_gap_median": float(np.median(min_gaps)) if min_gaps else None,
     }
     checks = {"gaps_positive": all(g > 0.0 for g in min_gaps)}
-    return ["seed", "hit_index", "hit_time", "gap"], rows, fields, checks
+    return ["seed", "hit_index", "hit_time", "gap"], columns, fields, checks
 
 
 # ---------------------------------------------------------------- converge
@@ -400,10 +466,13 @@ def _converge(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     errors = np.concatenate(over_chunks(_converge_task), axis=1)
     result = _fold_convergence(config.levels, config.horizon, errors)
 
-    rows = []
-    for j, lv in enumerate(config.levels):
-        for i, seed in enumerate(seeds):
-            rows.append([lv, i, seed, float(errors[j, i])])
+    n_levels, n_paths = errors.shape
+    columns = [
+        np.repeat(config.levels, n_paths),
+        np.tile(np.arange(n_paths), n_levels),
+        np.tile(np.asarray(seeds, dtype=np.uint64), n_levels),
+        errors.ravel(),
+    ]
 
     ordered = np.asarray(result.mean_errors)[np.argsort(config.levels)]
     monotone = result.all_exact or bool(np.all(np.diff(ordered) <= 0.0))
@@ -415,7 +484,7 @@ def _converge(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
         "exact": result.all_exact,
     }
     checks = {"errors_nonincreasing_in_level": monotone}
-    return ["level", "path", "seed", "sup_error"], rows, fields, checks
+    return ["level", "path", "seed", "sup_error"], columns, fields, checks
 
 
 _COMMANDS = {
@@ -430,8 +499,8 @@ _COMMANDS = {
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code (0 or 1).
 
-    Configuration and runtime problems raise ConfigError or another
-    ChainSDEError, which the CLI maps to exit code 2.
+    Configuration and runtime problems raise (ConfigError, another
+    ChainSDEError or any other exception); the CLI maps them to exit code 2.
     """
     workers = _resolve_workers(config)
     out_dir = Path(config.out_dir)
@@ -445,12 +514,11 @@ def run(config: ExperimentConfig) -> int:
     def over_chunks(task):
         return _run_tasks(task, tasks, workers)
 
-    header, rows, fields, checks = _COMMANDS[config.command](
+    header, columns, fields, checks = _COMMANDS[config.command](
         config, seeds, over_chunks, out_dir
     )
-    _write_csv(out_dir / "trace.csv", header, rows)
     exit_code = 0 if all(checks.values()) else 1
-    _write_summary(out_dir, {
+    _write_outputs(out_dir, header, columns, {
         "command": config.command,
         "config": config.to_mapping(),
         **fields,

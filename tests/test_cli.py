@@ -1,5 +1,7 @@
 import json
+import os
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -106,12 +108,69 @@ class TestExitCodes:
         assert err.startswith("chainsde: error:") and err.count("\n") == 1
         assert "BrokenProcessPool" in err
 
+    def test_unexpected_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # any uncaught exception is a runtime error, not a failed invariant check
+        def broken(config, seeds, over_chunks, out_dir):
+            raise RuntimeError("a command body failed")
+
+        monkeypatch.setitem(runner._COMMANDS, "simulate", broken)
+        code = main(["simulate", "--level", "4", "--ensemble", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "chainsde: error: RuntimeError: a command body failed\n"
+
     def test_inconsistent_origin_eps(self, tmp_path):
         code = main(
             ["simulate", "--band-n", "4", "--origin-eps", "0.5",
              "--ensemble", "2", "--level", "4", "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+class TestAtomicOutputs:
+    _ARGS = ["simulate", "--level", "4", "--ensemble", "2", "--band-n", "6"]
+
+    @pytest.mark.parametrize("fail_at", ["summary_write", "summary_move"])
+    def test_failed_run_leaves_no_stale_summary(self, tmp_path, monkeypatch, capsys, fail_at):
+        out = tmp_path / "o"
+        assert main(self._ARGS + ["--seed", "1", "--out", str(out)]) == 0
+        old_summary = (out / "summary.json").read_bytes()
+        old_trace = (out / "trace.csv").read_bytes()
+
+        if fail_at == "summary_write":
+            def write_summary(path, payload):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(runner, "_write_summary", write_summary)
+        else:
+            replace = os.replace
+
+            def failing_replace(src, dst):
+                if Path(dst).name == "summary.json":
+                    raise OSError(28, "No space left on device")
+                replace(src, dst)
+
+            monkeypatch.setattr(runner.os, "replace", failing_replace)
+        code = main(self._ARGS + ["--seed", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chainsde: error:") and err.count("\n") == 1
+
+        trace = (out / "trace.csv").read_bytes()
+        if fail_at == "summary_write":
+            # nothing was moved: the earlier pair stands as it was
+            assert trace == old_trace
+            assert (out / "summary.json").read_bytes() == old_summary
+        else:
+            # the new trace is in place, and the old summary is gone
+            assert trace != old_trace
+            assert not (out / "summary.json").exists()
+        assert set(os.listdir(out)) <= {"summary.json", "trace.csv"}
+
+    def test_unwritable_trace_leaves_no_temporary_file(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        assert main(self._ARGS + ["--out", str(out)]) == 2
+        assert os.listdir(out) == ["trace.csv"]
 
 
 class TestCommands:
