@@ -10,13 +10,18 @@ with Holder exponent alpha in (0, 1).  This module owns the immutable
 value types shared by the solvers and the closed-form pieces: the
 diffusion coefficient |x|^alpha, the mean-value upper bound used in
 divergence estimates, and the exact flow of the drift subsystem with the
-last coordinate frozen.  All arithmetic is 64-bit binary floating point.
+last coordinate frozen.  The coefficient and the one-step scheme update
+are defined here once (`_abs_pow`, `_advance`) for floats and numpy rows
+alike; the public functions and both integration kernels evaluate them.
+All arithmetic is 64-bit binary floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ChainState",
@@ -103,19 +108,25 @@ class SystemParams:
             raise ValueError("initial state must not be the origin")
 
 
-def diffusion_coeff(x: float, alpha: float) -> float:
-    """Noise coefficient |x|^alpha.
+def _abs_pow(x, alpha):
+    """|x|^alpha as exp(alpha * ln|x|), for a float or a numpy row.
 
-    Evaluated as exp(alpha * ln|x|) with an explicit x = 0 branch so the
-    origin returns exactly 0.0 rather than propagating ln(0).
+    This is the one evaluation of the coefficient: the public
+    `diffusion_coeff` and both integration kernels call it.  ln 0 = -inf
+    gives exactly 0.0 at the origin; callers evaluate it under
+    np.errstate(divide="ignore").
     """
+    return np.exp(alpha * np.log(abs(x)))
+
+
+def diffusion_coeff(x: float, alpha: float) -> float:
+    """Noise coefficient |x|^alpha, exactly 0.0 at the origin."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    if x == 0.0:
-        return 0.0
-    return math.exp(alpha * math.log(abs(x)))
+    with np.errstate(divide="ignore"):
+        return float(_abs_pow(x, alpha))
 
 
 def mvt_bound(a: float, b: float, alpha: float) -> float:
@@ -133,6 +144,25 @@ def mvt_bound(a: float, b: float, alpha: float) -> float:
     return alpha * a ** (alpha - 1.0) * (b - a)
 
 
+def _advance(coords, h, dlast, exact):
+    """The scheme update of (x, y) or (x, y, z) over a step h.
+
+    The last coordinate adds dlast.  With `exact` the drift rows take their
+    exact flow (x + h y + (h^2/2) z, y + h z); otherwise forward Euler
+    (x + h y, y + h z).  At chain order 2 both read (x + h y, y + dlast).
+    The coordinates are floats or numpy rows (one entry per path): this
+    one source is the arithmetic of `step`, `drift_flow` and both
+    integration kernels, so they round alike.
+    """
+    if len(coords) == 2:
+        x, y = coords
+        return x + h * y, y + dlast
+    x, y, z = coords
+    if exact:
+        return x + h * y + (0.5 * (h * h)) * z, y + h * z, z + dlast
+    return x + h * y, y + h * z, z + dlast
+
+
 def drift_flow(state: ChainState, h: float) -> ChainState:
     """Advance the drift subsystem by h with the last coordinate frozen.
 
@@ -145,10 +175,5 @@ def drift_flow(state: ChainState, h: float) -> ChainState:
         raise ValueError(f"h must be finite and > 0, got {h}")
     if state.blown_up:
         raise ValueError("cannot advance a blown-up state")
-    if state.dim == 3:
-        x, y, z = state.coords
-        coords = (x + h * y + (0.5 * h * h) * z, y + h * z, z)
-    else:
-        x, y = state.coords
-        coords = (x + h * y, y)
-    return ChainState(state.t + h, coords)
+    # adding -0.0 leaves the last coordinate bitwise as it is, -0.0 included
+    return ChainState(state.t + h, _advance(state.coords, h, -0.0, True))

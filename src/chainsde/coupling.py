@@ -37,9 +37,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import ChainState, SystemParams
-from .integrator import Scheme, SolveConfig, Trajectory, integrate_block, solve
-from .noise import _BlockStream, at_level, generate
+from .core import SystemParams
+from .integrator import Scheme, SolveConfig, Trajectory, integrate_block
+from .noise import _BlockStream
 from .stopping import CaseKind, CaseLabel
 
 __all__ = [
@@ -172,69 +172,34 @@ def _pair_setup(params: SystemParams, pert: Perturbation, cfg: SolveConfig):
     return cfg_a, cfg_b, init_b
 
 
-def coupled_solve(
-    params: SystemParams, seed: int, pert: Perturbation, cfg: SolveConfig
-) -> CoupledRun:
-    """Solve one coupled pair, keeping both trajectories.
-
-    The divergence series lives on the coarser common grid and stops at
-    the earlier of the two stop times.
-    """
-    cfg_a, cfg_b, init_b = _pair_setup(params, pert, cfg)
-    base = generate(seed, cfg.max_time, max(cfg_a.level, cfg_b.level))
-    traj_a = solve(params, at_level(base, cfg_a.level), cfg_a)
-    params_b = replace(
-        params, initial=ChainState(0.0, init_b)
-    ) if init_b != params.initial.coords else params
-    traj_b = solve(params_b, at_level(base, cfg_b.level), cfg_b)
-
-    lo = min(cfg_a.level, cfg_b.level)
-    sa = 2 ** (cfg_a.level - lo)
-    sb = 2 ** (cfg_b.level - lo)
-    k = min(traj_a.stop_index // sa, traj_b.stop_index // sb)
-    rows = k + 1
-    times = traj_a.times[::sa][:rows] if cfg_a.level <= cfg_b.level else traj_b.times[::sb][:rows]
-    div = _divergence_series(times, traj_a.x[::sa][:rows], traj_b.x[::sb][:rows])
-    return CoupledRun(seed, pert, div, traj_a=traj_a, traj_b=traj_b)
-
-
-def coupled_ensemble(
-    params: SystemParams,
-    seeds,
-    pert: Perturbation,
-    cfg: SolveConfig,
-    *,
-    max_trace_points: int = 1025,
-) -> list[CoupledRun]:
-    """Vectorized coupled pairs, one per seed, sharing generated noise.
+def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
+    """Both sides of the coupled pairs of `seeds`, sharing generated noise.
 
     The finer solve streams its noise in time blocks and records the
     blocks' pairwise sums at the coarser level, bitwise the coarsened
     increments, which the coarser solve then integrates; when both run at
-    one level, each streams the same noise on its own.  Divergence is
-    recorded on the coarser common grid decimated to at most
-    max_trace_points points (always keeping t = 0 and the horizon).
-    Trajectories are not retained.
+    one level, each streams the same noise on its own.  The divergence
+    grid is the coarser grid decimated to at most max_trace_points points
+    (always keeping t = 0 and the horizon), and each side records only
+    that grid; without max_trace_points it is the whole coarser grid and
+    each side records every step of its own grid.  Returns the two
+    ensembles and the divergence grid's stride in each side's grid steps.
     """
-    if len(seeds) == 0:
-        raise ValueError("need at least one seed")
-    if max_trace_points < 2:
-        raise ValueError("max_trace_points must be >= 2")
     cfg_a, cfg_b, init_b = _pair_setup(params, pert, cfg)
     hi = max(cfg_a.level, cfg_b.level)
     lo = min(cfg_a.level, cfg_b.level)
-    n_lo = 2**lo
-    rec = max(1, n_lo // (max_trace_points - 1))  # powers of two keep alignment
-    stride_a = rec * 2 ** (cfg_a.level - lo)
-    stride_b = rec * 2 ** (cfg_b.level - lo)
-
+    full = max_trace_points is None
+    # powers of two keep alignment
+    rec = 1 if full else max(1, 2**lo // (max_trace_points - 1))
+    grid_a = rec * 2 ** (cfg_a.level - lo)
+    grid_b = rec * 2 ** (cfg_b.level - lo)
     m = len(seeds)
 
-    def integrate(side_cfg, init, stride, inc):
+    def integrate(side_cfg, init, grid, inc):
         return integrate_block(
             params, side_cfg, inc,
             initial_coords=np.tile(np.asarray(init, dtype=np.float64), (m, 1)),
-            record_stride=stride, seeds=tuple(seeds),
+            record_stride=1 if full else grid, seeds=tuple(seeds),
         )
 
     if lo == hi:
@@ -247,24 +212,68 @@ def coupled_ensemble(
         noise = _BlockStream(seeds, cfg.max_time, hi, zero=cfg.zero_noise, record_level=lo)
         coarse = noise.recorded
     if cfg_a.level >= cfg_b.level:
-        run_a = integrate(cfg_a, params.initial.coords, stride_a, noise)
-        run_b = integrate(cfg_b, init_b, stride_b, coarse)
+        run_a = integrate(cfg_a, params.initial.coords, grid_a, noise)
+        run_b = integrate(cfg_b, init_b, grid_b, coarse)
     else:
-        run_b = integrate(cfg_b, init_b, stride_b, noise)
-        run_a = integrate(cfg_a, params.initial.coords, stride_a, coarse)
+        run_b = integrate(cfg_b, init_b, grid_b, noise)
+        run_a = integrate(cfg_a, params.initial.coords, grid_a, coarse)
+    return run_a, run_b, grid_a, grid_b
 
-    runs = []
-    for i, seed in enumerate(seeds):
-        k = min(
-            int(run_a.stop_indices[i]) // stride_a,
-            int(run_b.stop_indices[i]) // stride_b,
-        )
-        rows = k + 1
-        div = _divergence_series(
-            run_a.times[:rows], run_a.coords[i, :rows, 0], run_b.coords[i, :rows, 0]
-        )
-        runs.append(CoupledRun(seed, pert, div))
-    return runs
+
+def _pair_divergence(run_a, run_b, grid_a, grid_b, i) -> np.ndarray:
+    """Divergence series of pair i on the common grid, up to the earlier stop."""
+    rows = 1 + min(
+        int(run_a.stop_indices[i]) // grid_a,
+        int(run_b.stop_indices[i]) // grid_b,
+    )
+    ta = grid_a // run_a.record_stride
+    tb = grid_b // run_b.record_stride
+    return _divergence_series(
+        run_a.times[::ta][:rows],
+        run_a.coords[i, ::ta, 0][:rows],
+        run_b.coords[i, ::tb, 0][:rows],
+    )
+
+
+def coupled_solve(
+    params: SystemParams, seed: int, pert: Perturbation, cfg: SolveConfig
+) -> CoupledRun:
+    """Solve one coupled pair, keeping both trajectories.
+
+    The one-seed case of `coupled_ensemble` with every grid step recorded:
+    the divergence series lives on the whole coarser common grid and
+    stops at the earlier of the two stop times.
+    """
+    pair = _coupled_pair(params, (seed,), pert, cfg)
+    run_a, run_b = pair[:2]
+    return CoupledRun(
+        seed, pert, _pair_divergence(*pair, 0),
+        traj_a=run_a.trajectory(0), traj_b=run_b.trajectory(0),
+    )
+
+
+def coupled_ensemble(
+    params: SystemParams,
+    seeds,
+    pert: Perturbation,
+    cfg: SolveConfig,
+    *,
+    max_trace_points: int = 1025,
+) -> list[CoupledRun]:
+    """Vectorized coupled pairs, one per seed, sharing generated noise.
+
+    Divergence is recorded on the coarser common grid decimated to at
+    most max_trace_points points (always keeping t = 0 and the horizon).
+    Trajectories are not retained.
+    """
+    if len(seeds) == 0:
+        raise ValueError("need at least one seed")
+    if max_trace_points < 2:
+        raise ValueError("max_trace_points must be >= 2")
+    pair = _coupled_pair(params, seeds, pert, cfg, max_trace_points)
+    return [
+        CoupledRun(seed, pert, _pair_divergence(*pair, i)) for i, seed in enumerate(seeds)
+    ]
 
 
 def estimate_divergence(runs: list[CoupledRun]) -> DivergenceTrace:

@@ -20,10 +20,13 @@ the noise is switched off, and with `continue_after_stop` the drift
 continues to the horizon (the truncated system); otherwise the
 trajectory is cut at the stop point.
 
-Ensembles integrate in lockstep as numpy row vectors, one row per path.
-Single-path solves run a scalar loop with identical arithmetic (the
-coefficient is evaluated through the same numpy ufuncs), so both code
-paths produce bitwise-identical trajectories for the same seed.
+Ensembles integrate in lockstep as numpy row vectors, one row per path;
+single-path solves run a scalar loop.  Both kernels evaluate the one
+`core` definition of the coefficient and the scheme update (written with
+plain operators and numpy ufuncs, so one source serves floats and rows)
+and classify stops with the one `_stop_codes`, so they produce
+bitwise-identical trajectories for the same seed, as does iterating
+`step` where the grid times are exact.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainState, SystemParams, diffusion_coeff
+from .core import ChainState, SystemParams, _abs_pow, _advance, diffusion_coeff
 from .errors import ConfigError, ResourceLimitError
 from .noise import MAX_LEVEL, BrownianPath, _BlockStream, at_level
 
@@ -176,17 +179,22 @@ class Trajectory:
         return ChainState(float(self.times[i]), tuple(float(c) for c in row), blown_up=blown)
 
     @property
-    def final_state(self) -> ChainState:
-        return self.state_at(len(self) - 1)
-
-    @property
     def band_stopped(self) -> bool:
         return self.stop in _BAND_CODES
 
 
+def _linf(coords):
+    """The annulus norm max |coordinate| of float coordinates or numpy rows;
+    a NaN coordinate gives NaN."""
+    out = abs(coords[0])
+    for c in coords[1:]:
+        out = np.maximum(out, abs(c))
+    return out
+
+
 def linf_norm(state: ChainState) -> float:
     """Maximum absolute coordinate (the annulus norm)."""
-    return max(abs(c) for c in state.coords)
+    return float(_linf(state.coords))
 
 
 def step(
@@ -207,23 +215,10 @@ def step(
         raise ValueError("state dimension does not match params.chain_order")
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"h must be finite and > 0, got {h}")
-    coeff = diffusion_coeff(state.coords[0], params.alpha)
-    if scheme is Scheme.DRIFT_EXACT_EM:
-        if state.dim == 3:
-            x, y, z = state.coords
-            coords = (x + h * y + (0.5 * h * h) * z, y + h * z, z + coeff * dB)
-        else:
-            x, y = state.coords
-            coords = (x + h * y, y + coeff * dB)
-    elif scheme is Scheme.PLAIN_EM:
-        if state.dim == 3:
-            x, y, z = state.coords
-            coords = (x + h * y, y + h * z, z + coeff * dB)
-        else:
-            x, y = state.coords
-            coords = (x + h * y, y + coeff * dB)
-    else:
+    if not isinstance(scheme, Scheme):
         raise ValueError(f"unknown scheme {scheme!r}")
+    dlast = diffusion_coeff(state.coords[0], params.alpha) * dB
+    coords = _advance(state.coords, h, dlast, scheme is Scheme.DRIFT_EXACT_EM)
     blown = not all(math.isfinite(c) for c in coords)
     return ChainState(state.t + h, coords, blown_up=blown)
 
@@ -271,22 +266,18 @@ class EnsembleResult:
             seed=seed,
         )
 
-    def trajectories(self) -> list[Trajectory]:
-        return [self.trajectory(i) for i in range(self.n_paths)]
 
+def _stop_codes(linf, eps, inner, outer):
+    """Stop code of each l-inf norm, 0 where none applies.
 
-def _stop_code_scalar(coords: tuple[float, ...], eps: float, inner: float, outer: float) -> int:
-    linf = max(abs(c) for c in coords)
-    finite = math.isfinite(linf)
-    if linf <= eps:
-        return int(StopReason.ORIGIN_HIT)
-    if linf <= inner:
-        return int(StopReason.INNER_BAND)
-    if finite and linf >= outer:
-        return int(StopReason.OUTER_BAND)
-    if not finite:
-        return int(StopReason.BLOWUP)
-    return 0
+    Priority origin > inner band > outer band > blowup: each later
+    assignment overrides the earlier ones.
+    """
+    finite = np.isfinite(linf)
+    code = np.where(finite, np.int8(0), np.int8(StopReason.BLOWUP))
+    code = np.where(finite & (linf >= outer), np.int8(StopReason.OUTER_BAND), code)
+    code = np.where(linf <= inner, np.int8(StopReason.INNER_BAND), code)
+    return np.where(linf <= eps, np.int8(StopReason.ORIGIN_HIT), code)
 
 
 def _blocks(increments):
@@ -297,12 +288,10 @@ def _blocks(increments):
 def _integrate_vector(params, cfg, increments, init, stride, h):
     """Lockstep kernel over (paths, steps) increments, a matrix or a block stream.
 
-    Arithmetic mirrors _integrate_scalar expression by expression (the
-    in-place ufuncs only reorder commutative additions), so a lockstep
-    row is bitwise identical to the corresponding single-path solve.
-    The hot loop works in preallocated buffers and only falls into the
-    slow masked branches around stop events.  Blocks are consumed in
-    time order; the state, anchors, stops and record index carry over.
+    Each step evaluates the core coefficient and scheme update on rows,
+    one entry per path; stopped paths are masked out only once a stop
+    has happened.  Blocks are consumed in time order; the state,
+    anchors, stops and record index carry over.
     """
     M, n_steps = increments.shape
     d = init.shape[1]
@@ -315,47 +304,24 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
     stop_code = np.zeros(M, dtype=np.int8)
     stop_idx = np.full(M, n_steps, dtype=np.int64)
 
-    x = init[:, 0].copy()
-    y = init[:, 1].copy()
-    z = init[:, 2].copy() if d == 3 else np.zeros(M)
+    s = tuple(init[:, j].copy() for j in range(d))
     # anchors for the drift-exact scheme; z anchors itself
-    ax, ay, at = x.copy(), y.copy(), np.zeros(M)
+    ax, ay, at = s[0].copy(), s[1].copy(), np.zeros(M)
 
     evolving = np.ones(M, dtype=bool)
     noisy = np.ones(M, dtype=bool)
-    state = {"any_active": True, "all_evolving": True, "all_noisy": True}
+    any_active = all_evolving = all_noisy = True
 
-    # work buffers
-    coeff = np.empty(M)
-    dlast = np.empty(M)
-    dt = np.empty(M)
-    tmp = np.empty(M)
-    xn = np.empty(M)
-    yn = np.empty(M)
-    zn = np.empty(M)
-    linf = np.empty(M)
-    babs = np.empty(M)
-    b1 = np.empty(M, dtype=bool)
-    b2 = np.empty(M, dtype=bool)
-
-    def _linf_now():
-        np.abs(x, out=linf)
-        np.abs(y, out=babs)
-        np.maximum(linf, babs, out=linf)
-        if d == 3:
-            np.abs(z, out=babs)
-            np.maximum(linf, babs, out=linf)
-
-    def _apply_stops(idx):
-        """Classify and record stops among still-active paths (slow path)."""
-        finite = np.isfinite(linf)
-        code = np.zeros(M, dtype=np.int8)
-        code = np.where(linf <= eps, np.int8(StopReason.ORIGIN_HIT), code)
-        code = np.where((code == 0) & (linf <= inner), np.int8(StopReason.INNER_BAND), code)
-        code = np.where(
-            (code == 0) & finite & (linf >= outer), np.int8(StopReason.OUTER_BAND), code
-        )
-        code = np.where((code == 0) & ~finite, np.int8(StopReason.BLOWUP), code)
+    def stops(idx):
+        """Classify and record stops among still-active paths."""
+        nonlocal any_active, all_evolving, all_noisy
+        if not any_active:
+            return
+        linf = _linf(s)
+        # a NaN minimum or an infinite maximum fails this band test too
+        if inner < linf.min() and linf.max() < outer:
+            return
+        code = _stop_codes(linf, eps, inner, outer)
         hit = (stop_code == 0) & (code > 0)
         if not hit.any():
             return
@@ -367,95 +333,45 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
             frozen = hit
         np.logical_and(evolving, ~frozen, out=evolving)
         np.logical_and(noisy, ~hit, out=noisy)
-        state["any_active"] = bool((stop_code == 0).any())
-        state["all_evolving"] = bool(evolving.all())
-        state["all_noisy"] = bool(noisy.all())
+        any_active = bool((stop_code == 0).any())
+        all_evolving = bool(evolving.all())
+        all_noisy = bool(noisy.all())
 
-    def _maybe_stop(idx):
-        if not state["any_active"]:
-            return
-        _linf_now()
-        np.less_equal(linf, inner, out=b1)  # covers the origin predicate too
-        np.greater_equal(linf, outer, out=b2)
-        np.logical_or(b1, b2, out=b1)
-        np.isfinite(linf, out=b2)
-        if b1.any() or not b2.all():
-            _apply_stops(idx)
-
-    _maybe_stop(0)
-    rec[:, 0, 0] = x
-    rec[:, 0, 1] = y
-    if d == 3:
-        rec[:, 0, 2] = z
+    def record(r):
+        for j, c in enumerate(s):
+            rec[:, r, j] = c
 
     k = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        stops(0)
+        record(0)
         for block in _blocks(increments):
             # step-contiguous layout for the column reads in the hot loop
             inc_t = np.ascontiguousarray(block.T)
             del block
             for dB in inc_t:
                 t_next = (k + 1) * h
-                # coefficient exp(alpha * ln|x|); ln 0 = -inf gives exactly 0
-                np.abs(x, out=coeff)
-                np.log(coeff, out=coeff)
-                coeff *= alpha
-                np.exp(coeff, out=coeff)
-                np.multiply(coeff, dB, out=dlast)
-                if not state["all_noisy"]:
+                dlast = _abs_pow(s[0], alpha) * dB
+                if not all_noisy:
                     np.copyto(dlast, 0.0, where=~noisy)
-
                 if drift_exact:
-                    np.subtract(t_next, at, out=dt)
-                    if d == 3:
-                        np.multiply(dt, dt, out=tmp)
-                        tmp *= 0.5
-                        np.multiply(tmp, z, out=xn)  # (0.5*(dt*dt))*z
-                        np.multiply(dt, ay, out=tmp)
-                        tmp += ax
-                        xn += tmp  # + (ax + dt*ay)
-                        np.multiply(dt, z, out=yn)
-                        yn += ay
-                        np.add(z, dlast, out=zn)
-                    else:
-                        np.multiply(dt, ay, out=xn)
-                        xn += ax
-                        np.add(ay, dlast, out=yn)
+                    new = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
                 else:
-                    np.multiply(y, h, out=xn)
-                    xn += x
-                    if d == 3:
-                        np.multiply(z, h, out=yn)
-                        yn += y
-                        np.add(z, dlast, out=zn)
-                    else:
-                        np.add(y, dlast, out=yn)
-
-                if state["all_evolving"]:
-                    x, xn = xn, x
-                    y, yn = yn, y
-                    if d == 3:
-                        z, zn = zn, z
+                    new = _advance(s, h, dlast, False)
+                if all_evolving:
+                    s = new
                 else:
-                    np.copyto(x, xn, where=evolving)
-                    np.copyto(y, yn, where=evolving)
-                    if d == 3:
-                        np.copyto(z, zn, where=evolving)
+                    s = tuple(np.where(evolving, n, o) for n, o in zip(new, s))
                 if drift_exact:
-                    np.not_equal(dlast, 0.0, out=b1)
-                    b1 &= evolving
-                    np.copyto(ax, x, where=b1)
-                    np.copyto(ay, y, where=b1)
-                    np.copyto(at, t_next, where=b1)
-
-                _maybe_stop(k + 1)
-
+                    moved = dlast != 0.0
+                    if not all_evolving:
+                        moved &= evolving
+                    np.copyto(ax, s[0], where=moved)
+                    np.copyto(ay, s[1], where=moved)
+                    np.copyto(at, t_next, where=moved)
+                stops(k + 1)
                 if (k + 1) % stride == 0:
-                    r = (k + 1) // stride
-                    rec[:, r, 0] = x
-                    rec[:, r, 1] = y
-                    if d == 3:
-                        rec[:, r, 2] = z
+                    record((k + 1) // stride)
                 k += 1
             # the last row view would keep this block alive while the next is drawn
             del inc_t, dB
@@ -466,10 +382,11 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
 
 
 def _integrate_scalar(params, cfg, increments, init, stride, h):
-    """Single-path mirror of _integrate_vector with scalar arithmetic.
+    """Single-path kernel with scalar arithmetic.
 
-    The coefficient goes through the same numpy ufuncs, so the result is
-    bitwise identical to the corresponding lockstep row.
+    It evaluates the same core coefficient and scheme update as
+    _integrate_vector and classifies stops with the same `_stop_codes`,
+    so the result is bitwise identical to the corresponding lockstep row.
     """
     n_steps = increments.shape[1]
     d = len(init[0])
@@ -482,61 +399,44 @@ def _integrate_scalar(params, cfg, increments, init, stride, h):
     stop_code = 0
     stop_idx = n_steps
 
-    if d == 3:
-        x, y, z = (float(c) for c in init[0])
-    else:
-        x, y = (float(c) for c in init[0])
-        z = 0.0
-    ax, ay, at = x, y, 0.0
+    s = tuple(float(c) for c in init[0])
+    ax, ay, at = s[0], s[1], 0.0
     evolving = True
     noisy = True
 
-    def coords():
-        return (x, y, z) if d == 3 else (x, y)
-
-    code0 = _stop_code_scalar(coords(), eps, inner, outer)
-    if code0:
-        stop_code, stop_idx = code0, 0
+    def stops(idx):
+        """Record a stop of the still-active path."""
+        nonlocal stop_code, stop_idx, evolving, noisy
+        # Band pre-check.  max() skips a NaN after the first coordinate, but
+        # from a finite state only x (two additions) can turn NaN.
+        if inner < max(map(abs, s)) < outer:
+            return
+        stop_code = int(_stop_codes(_linf(s), eps, inner, outer))
+        stop_idx = idx
         noisy = False
-        if not cfg.continue_after_stop or code0 == int(StopReason.BLOWUP):
+        if not cfg.continue_after_stop or stop_code == StopReason.BLOWUP:
             evolving = False
-    rec[0, 0, :d] = coords()
 
     k = 0
-    for block in _blocks(increments):
-        for dB in block[0]:
-            t_next = (k + 1) * h
-            if evolving:
-                if noisy and x != 0.0:
-                    dlast = float(np.exp(alpha * np.log(abs(x)))) * dB
-                else:
-                    dlast = 0.0
-                if drift_exact:
-                    dt = t_next - at
-                    if d == 3:
-                        x = ax + dt * ay + (0.5 * (dt * dt)) * z
-                        y = ay + dt * z
-                        z = z + dlast
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        stops(0)
+        rec[0, 0] = s
+        for block in _blocks(increments):
+            for dB in block[0]:
+                t_next = (k + 1) * h
+                if evolving:
+                    dlast = float(_abs_pow(s[0], alpha)) * dB if noisy else 0.0
+                    if drift_exact:
+                        s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
+                        if dlast != 0.0:
+                            ax, ay, at = s[0], s[1], t_next
                     else:
-                        x = ax + dt * ay
-                        y = ay + dlast
-                    if dlast != 0.0:
-                        ax, ay, at = x, y, t_next
-                else:
-                    if d == 3:
-                        x, y, z = x + h * y, y + h * z, z + dlast
-                    else:
-                        x, y = x + h * y, y + dlast
-                if stop_code == 0:
-                    code = _stop_code_scalar(coords(), eps, inner, outer)
-                    if code:
-                        stop_code, stop_idx = code, k + 1
-                        noisy = False
-                        if not cfg.continue_after_stop or code == int(StopReason.BLOWUP):
-                            evolving = False
-            if (k + 1) % stride == 0:
-                rec[0, (k + 1) // stride, :d] = coords()
-            k += 1
+                        s = _advance(s, h, dlast, False)
+                    if stop_code == 0:
+                        stops(k + 1)
+                if (k + 1) % stride == 0:
+                    rec[0, (k + 1) // stride] = s
+                k += 1
 
     if stop_code == 0:
         stop_code = int(StopReason.HORIZON_REACHED)

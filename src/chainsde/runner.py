@@ -24,7 +24,9 @@ trace and no temporary file.
 
 Outputs per run: <out_dir>/summary.json (config echo, checks, command
 payload) and <out_dir>/trace.csv (per-path or per-time rows); simulate
-can additionally dump the Brownian paths in the binary BPATH1 format.
+can additionally dump the Brownian paths in the binary BPATH1 format
+(<out_dir>/paths/path_NNNNN.bpath, written in place after an earlier
+run's dumps and summary are removed).
 
 Exit codes: 0 all checks passed, 1 an invariant check failed, 2 a
 configuration or runtime error (ConfigError, ChainSDEError or any other
@@ -290,8 +292,13 @@ def _simulate(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
         columns.append(None)
 
     if config.dump_paths:
+        # An earlier run's dumps and summary go first: a rerun holds exactly
+        # n_paths dumps, and a crash while dumping leaves no summary.
+        (out_dir / "summary.json").unlink(missing_ok=True)
         pdir = out_dir / "paths"
         pdir.mkdir(exist_ok=True)
+        for stale in pdir.glob("*.bpath"):
+            stale.unlink()
         for i, seed in enumerate(seeds):
             with open(pdir / f"path_{i:05d}.bpath", "wb") as fh:
                 save_path(generate(seed, config.horizon, config.level), fh)

@@ -166,6 +166,23 @@ class TestAtomicOutputs:
             assert not (out / "summary.json").exists()
         assert set(os.listdir(out)) <= {"summary.json", "trace.csv"}
 
+    def test_dump_paths_rerun_replaces_earlier_dumps(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o"
+        dump = ["simulate", "--level", "4", "--band-n", "6", "--dump-paths", "--out", str(out)]
+        assert main(dump + ["--ensemble", "3"]) == 0
+        assert main(dump + ["--ensemble", "2"]) == 0
+        assert read_summary(out)["n_paths"] == 2
+        assert sorted(p.name for p in (out / "paths").iterdir()) == [
+            "path_00000.bpath", "path_00001.bpath"
+        ]
+
+        def save_path(path, fh):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner, "save_path", save_path)
+        assert main(dump + ["--ensemble", "2"]) == 2
+        assert not (out / "summary.json").exists()
+
     def test_unwritable_trace_leaves_no_temporary_file(self, tmp_path):
         out = tmp_path / "out"
         (out / "trace.csv").mkdir(parents=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chainsde.core import ChainState, SystemParams
+from chainsde.core import ChainState, SystemParams, diffusion_coeff, drift_flow
 from chainsde.errors import ConfigError
 from chainsde.integrator import (
     Scheme,
@@ -192,9 +192,11 @@ class TestTruncation:
 
 
 class TestScalarVectorConsistency:
-    def test_bitwise_identical(self):
-        par = params_at((0.0, 1.0, 0.0))
-        cfg = SolveConfig(level=10, band_n=6, max_time=1.0)
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("order", [3, 2])
+    def test_bitwise_identical(self, order, scheme):
+        par = params_at((0.0, 1.0, 0.0)[:order])
+        cfg = SolveConfig(level=10, band_n=6, max_time=1.0, scheme=scheme)
         seeds = [path_seed(23, i) for i in range(6)]
         ens = solve_ensemble(par, cfg, seeds)
         for i, s in enumerate(seeds):
@@ -214,6 +216,51 @@ class TestScalarVectorConsistency:
             full = ens.trajectory(i)
             assert single.stop is full.stop and single.stop_index == full.stop_index
             assert np.array_equal(single.coords, full.coords)
+
+
+class TestSharedArithmetic:
+    """The public step, drift_flow and diffusion_coeff round as the kernels do."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("order", [3, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_iterated_step_is_solve(self, seed, order, scheme):
+        par = params_at((0.0, 1.0, 0.0)[:order])
+        # a band this wide stops nothing on [0, 1]
+        cfg = SolveConfig(level=8, band_n=30, max_time=1.0, scheme=scheme)
+        path = generate(path_seed(41, seed), 1.0, 8)
+        traj = solve(par, path, cfg)
+        assert traj.stop is StopReason.HORIZON_REACHED
+        state = par.initial
+        coords = [state.coords]
+        for dB in path.increments.tolist():
+            state = step(state, par, dB, cfg.grid_step, scheme)
+            coords.append(state.coords)
+        assert np.array(coords).tobytes() == traj.coords.tobytes()
+
+    def test_diffusion_coeff_is_kernel_coefficient(self):
+        # one unit increment from (x, 1, 0) leaves z = |x|^alpha * 1 exactly
+        rng = np.random.default_rng(19)
+        n = 10_000
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
+        x[:2] = (0.0, -0.0)
+        par = SystemParams(0.85, 3, ChainState(0.0, (1.0, 1.0, 0.0)))
+        cfg = SolveConfig(level=0, band_n=60, max_time=1.0)
+        init = np.column_stack([x, np.ones(n), np.zeros(n)])
+        ens = integrate_block(par, cfg, np.ones((n, 1)), initial_coords=init)
+        kernel = ens.coords[:, 1, 2]
+        want = np.array([diffusion_coeff(v, par.alpha) for v in x.tolist()])
+        assert want.tobytes() == kernel.tobytes()
+        assert kernel[0] == 0.0 and kernel[1] == 0.0
+
+    def test_drift_flow_is_zero_noise_step(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            h = float(rng.uniform(1e-6, 2.0))
+            for order in (2, 3):
+                s = ChainState(0.0, tuple(rng.uniform(-5.0, 5.0, order).tolist()))
+                want = step(s, params_at(s.coords), 0.0, h)
+                assert drift_flow(s, h) == want
 
 
 class TestSelfConvergence:
