@@ -2,11 +2,14 @@
 
     chainsde <command> [--config FILE] [field flags...]
 
-Commands: simulate, couple, bounds, excursions, converge.  Every
-ExperimentConfig field is exposed as a flag; values come from the
-defaults, then the config file, then explicit flags.  The environment
-variable CHAINSDE_WORKERS overrides the worker count.  Exit codes:
-0 checks passed, 1 an invariant check failed, 2 configuration or
+The commands and their help lines are `config.COMMANDS`.  The flags are
+derived from the ExperimentConfig fields, one per field:
+`--<field-with-dashes>` (`--out DIR` for out_dir), booleans as
+`--flag/--no-flag`.  Flag text is parsed by the same `_coerce` as file
+values, so a bad value is a config error naming the field.  Values come
+from the defaults, then the config file, then explicit flags.  The
+environment variable CHAINSDE_WORKERS overrides the worker count.  Exit
+codes: 0 checks passed, 1 an invariant check failed, 2 configuration or
 runtime error.
 """
 
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import COMMANDS, SCHEMES, ExperimentConfig, parse_config_file
+from .config import _TYPES, COMMANDS, ExperimentConfig, parse_config_file
 from .errors import ChainSDEError, ConfigError
 from . import runner
 
@@ -23,37 +27,13 @@ from . import runner
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("experiment")
     g.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    g.add_argument("--alpha", type=float, help="Holder exponent in (0, 1)")
-    g.add_argument("--chain-order", type=int, choices=(2, 3), help="chain dimension")
-    g.add_argument("--initial-x", type=float, help="initial x coordinate")
-    g.add_argument("--initial-y", type=float, help="initial y coordinate")
-    g.add_argument("--initial-z", type=float, help="initial z coordinate (order 3)")
-    g.add_argument("--band-n", type=int, help="band level n of the annulus (2^-n, 2^n)")
-    g.add_argument("--level", type=int, help="grid level (2^level steps over the horizon)")
-    g.add_argument("--levels", help="comma-separated levels (converge)")
-    g.add_argument("--level-ref", type=int, help="reference level (converge)")
-    g.add_argument("--horizon", type=float, help="integration horizon")
-    g.add_argument("--ensemble", type=int, help="number of paths")
-    g.add_argument("--seed", type=int, help="master seed (spawns per-path seeds)")
-    g.add_argument(
-        "--perturbation",
-        help="couple perturbation: jitter:<delta> | resolution:<la>,<lb> | scheme",
-    )
-    g.add_argument("--scheme", choices=SCHEMES, help="stepping scheme")
-    g.add_argument(
-        "--zero-noise", action=argparse.BooleanOptionalAction, help="zero all increments"
-    )
-    g.add_argument("--origin-eps", type=float, help="origin-hit tolerance")
-    g.add_argument("--workers", type=int, help="worker pool size")
-    g.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    g.add_argument("--trace-stride", type=int, help="trace decimation stride (simulate)")
-    g.add_argument("--tol-abs", type=float, help="absolute bound tolerance override")
-    g.add_argument("--tol-step-scale", type=float, help="grid-step tolerance multiplier")
-    g.add_argument(
-        "--dump-paths",
-        action=argparse.BooleanOptionalAction,
-        help="dump the Brownian paths in BPATH1 format (simulate)",
-    )
+    for f in fields(ExperimentConfig):
+        if f.name == "command":
+            continue
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        kind = ({"action": argparse.BooleanOptionalAction} if _TYPES[f.name] is bool
+                else {"metavar": f.metadata.get("metavar")})
+        g.add_argument(flag, dest=f.name, help=f.metadata["help"], **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,15 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled Monte Carlo experiments for the triangular noise chain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "simulate": "integrate an ensemble and tabulate stop events",
-        "couple": "coupled pairs on shared noise and their divergence",
-        "bounds": "verify the case and growth bounds on a window ensemble",
-        "excursions": "zero-hit gap statistics before the band stop",
-        "converge": "strong self-convergence order against a fine reference",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name], argument_default=argparse.SUPPRESS)
+    for name, help_text in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         _add_experiment_flags(p)
     return parser
 

@@ -1,55 +1,76 @@
-"""Experiment configuration: defaults, file parsing, and validation.
+"""Experiment configuration: the one definition of every field.
 
-A config file is a flat key = value text document; keys are the
-ExperimentConfig field names, values plain literals (lists comma
-separated, optional fields may say none).  Lines starting with # and
-blank lines are ignored.  Command-line flags override file values, which
-override the defaults.  Every run echoes its fully resolved config into
-summary.json, and the echo reparses to an equal ExperimentConfig.
+`ExperimentConfig` is the only place a field's name, type, default and
+help text are written.  Everything else is derived from it: `_coerce`
+parses a value by the field's annotation (bool, int, float, str,
+X | None, tuple[int, ...]), the CLI adds one flag per field
+(`--<field-with-dashes>`, `--out` for out_dir), the scheme names are the
+`Scheme` values and `COMMANDS` maps each command to its help line.
+
+A config file is a flat key = value text document; keys are the field
+names, values plain literals (lists comma separated, optional fields may
+say none).  Lines starting with # and blank lines are ignored.  File and
+flag values go through the same `_coerce`; flags override file values,
+which override the defaults.  Every run echoes its fully resolved config
+into summary.json, and the echo reparses to an equal ExperimentConfig.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any
+import math
+from dataclasses import dataclass, field, fields
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+from .integrator import Scheme
 
 __all__ = ["COMMANDS", "ExperimentConfig", "parse_config_file"]
 
-COMMANDS = ("simulate", "couple", "bounds", "excursions", "converge")
-SCHEMES = ("drift-exact-em", "plain-em")
+COMMANDS = {
+    "simulate": "integrate an ensemble and tabulate stop events",
+    "couple": "coupled pairs on shared noise and their divergence",
+    "bounds": "verify the case and growth bounds on a window ensemble",
+    "excursions": "zero-hit gap statistics before the band stop",
+    "converge": "strong self-convergence order against a fine reference",
+}
+
+
+def _field(default: Any, help_text: str, **flag: str) -> Any:
+    """A field with its help text; `flag`/`metavar` override the CLI flag."""
+    return field(default=default, metadata={"help": help_text, **flag})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    alpha: float = 0.9
-    chain_order: int = 3
-    initial_x: float = 0.0
-    initial_y: float = 1.0
-    initial_z: float = 0.0
-    band_n: int = 4
-    level: int = 12
-    levels: tuple[int, ...] = (10, 12, 14)
-    level_ref: int = 18
-    horizon: float = 1.0
-    ensemble: int = 100
-    seed: int = 0
-    perturbation: str = "jitter:0"
-    scheme: str = "drift-exact-em"
-    zero_noise: bool = False
-    origin_eps: float | None = None
-    workers: int = 1
-    out_dir: str = "out"
-    trace_stride: int | None = None
-    tol_abs: float | None = None
-    tol_step_scale: float = 1.0
-    dump_paths: bool = False
+    alpha: float = _field(0.9, "Holder exponent in (0, 1)")
+    chain_order: int = _field(3, "chain dimension, 2 or 3")
+    initial_x: float = _field(0.0, "initial x coordinate")
+    initial_y: float = _field(1.0, "initial y coordinate")
+    initial_z: float = _field(0.0, "initial z coordinate (order 3)")
+    band_n: int = _field(4, "band level n of the annulus (2^-n, 2^n)")
+    level: int = _field(12, "grid level (2^level steps over the horizon)")
+    levels: tuple[int, ...] = _field((10, 12, 14), "comma-separated levels (converge)")
+    level_ref: int = _field(18, "reference level (converge)")
+    horizon: float = _field(1.0, "integration horizon")
+    ensemble: int = _field(100, "number of paths")
+    seed: int = _field(0, "master seed (spawns per-path seeds)")
+    perturbation: str = _field(
+        "jitter:0", "couple perturbation: jitter:<delta> | resolution:<la>,<lb> | scheme"
+    )
+    scheme: str = _field(Scheme.DRIFT_EXACT_EM.value, "stepping scheme")
+    zero_noise: bool = _field(False, "zero all increments")
+    origin_eps: float | None = _field(None, "origin-hit tolerance")
+    workers: int = _field(1, "worker pool size")
+    out_dir: str = _field("out", "output directory", flag="--out", metavar="DIR")
+    trace_stride: int | None = _field(None, "trace decimation stride (simulate)")
+    tol_abs: float | None = _field(None, "absolute bound tolerance override")
+    tol_step_scale: float = _field(1.0, "grid-step tolerance multiplier")
+    dump_paths: bool = _field(False, "dump the Brownian paths in BPATH1 format (simulate)")
 
     def __post_init__(self):
         if self.command not in COMMANDS:
-            raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
+            raise ConfigError(f"command must be one of {tuple(COMMANDS)}, got {self.command!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.chain_order not in (2, 3):
@@ -77,18 +98,21 @@ class ExperimentConfig:
             raise ConfigError(f"ensemble must be >= 1, got {self.ensemble}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        schemes = tuple(s.value for s in Scheme)
+        if self.scheme not in schemes:
+            raise ConfigError(f"scheme must be one of {schemes}, got {self.scheme!r}")
         if self.origin_eps is not None and not self.origin_eps > 0.0:
             raise ConfigError(f"origin_eps must be > 0, got {self.origin_eps}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.trace_stride is not None and self.trace_stride < 1:
             raise ConfigError(f"trace_stride must be >= 1, got {self.trace_stride}")
-        if self.tol_abs is not None and self.tol_abs < 0.0:
-            raise ConfigError(f"tol_abs must be >= 0, got {self.tol_abs}")
-        if self.tol_step_scale < 0.0:
-            raise ConfigError(f"tol_step_scale must be >= 0, got {self.tol_step_scale}")
+        if self.tol_abs is not None and not 0.0 <= self.tol_abs < math.inf:
+            raise ConfigError(f"tol_abs must be finite and >= 0, got {self.tol_abs}")
+        if not 0.0 <= self.tol_step_scale < math.inf:
+            raise ConfigError(
+                f"tol_step_scale must be finite and >= 0, got {self.tol_step_scale}"
+            )
 
     @property
     def initial_coords(self) -> tuple[float, ...]:
@@ -106,53 +130,48 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, Any]) -> "ExperimentConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs: dict[str, Any] = {}
-        for key, value in mapping.items():
-            if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
-            kwargs[key] = _coerce(key, value)
+        kwargs = {key: _coerce(key, value) for key, value in mapping.items()}
         if "command" not in kwargs:
             raise ConfigError("missing config field 'command'")
         return cls(**kwargs)
 
 
-_FLOAT_FIELDS = {"alpha", "initial_x", "initial_y", "initial_z", "horizon", "tol_step_scale"}
-_INT_FIELDS = {"chain_order", "band_n", "level", "level_ref", "ensemble", "seed", "workers"}
-_OPT_FLOAT_FIELDS = {"origin_eps", "tol_abs"}
-_OPT_INT_FIELDS = {"trace_stride"}
-_BOOL_FIELDS = {"zero_noise", "dump_paths"}
-_STR_FIELDS = {"command", "perturbation", "scheme", "out_dir"}
+_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _coerce(key: str, value: Any):
+    """Parse a file, flag or echo value of field `key` by its annotation."""
+    if key not in _TYPES:
+        raise ConfigError(f"unknown config field {key!r}")
     try:
-        if key == "levels":
-            if isinstance(value, str):
-                value = [part for part in value.replace(",", " ").split() if part]
-            return tuple(int(v) for v in value)
-        if key in _BOOL_FIELDS:
-            if isinstance(value, bool):
-                return value
-            text = str(value).strip().lower()
-            if text in ("true", "1", "yes", "on"):
-                return True
-            if text in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        if key in _OPT_FLOAT_FIELDS or key in _OPT_INT_FIELDS:
-            if value is None or (isinstance(value, str) and value.strip().lower() in ("none", "")):
-                return None
-            return float(value) if key in _OPT_FLOAT_FIELDS else int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
-        if key in _INT_FIELDS:
-            return int(str(value), 0) if isinstance(value, str) else int(value)
-        if key in _STR_FIELDS:
-            return str(value)
+        return _parse(_TYPES[key], value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for config field {key!r}: {exc}") from None
-    raise ConfigError(f"unknown config field {key!r}")
+
+
+def _parse(hint: Any, value: Any):
+    args = get_args(hint)
+    if get_origin(hint) is tuple:  # tuple[X, ...]: a comma or space separated list
+        if isinstance(value, str):
+            value = value.replace(",", " ").split()
+        return tuple(_parse(args[0], v) for v in value)
+    if args:  # X | None
+        if value is None or (isinstance(value, str) and value.strip().lower() in ("none", "")):
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _parse(inner, value)
+    if hint is bool:
+        if isinstance(value, bool):
+            return value
+        text = str(value).strip().lower()
+        if text in ("true", "1", "yes", "on"):
+            return True
+        if text in ("false", "0", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {value!r}")
+    if hint is int:
+        return int(value, 0) if isinstance(value, str) else int(value)
+    return hint(value)  # float or str
 
 
 def parse_config_file(path: str) -> dict[str, str]:

@@ -1,13 +1,17 @@
+import argparse
 import json
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from chainsde import runner
-from chainsde.cli import main
-from chainsde.config import ExperimentConfig, parse_config_file
+from chainsde.cli import _resolve_config, build_parser, main
+from chainsde.config import COMMANDS, ExperimentConfig, parse_config_file
 from chainsde.errors import ConfigError
 from chainsde.noise import load_path
 from chainsde.runner import parse_perturbation
@@ -125,6 +129,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-step-scale"])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, flag, value):
+        # a nan tolerance would fail every bound check and read as a broken
+        # invariant (exit 1); it is a configuration error instead
+        out = tmp_path / "o"
+        code = main(["bounds", "--band-n", "4", "--level", "6", "--ensemble", "4",
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chainsde: config error:")
+        assert flag[2:].replace("-", "_") in err
+        assert not out.exists()
+
 
 class TestAtomicOutputs:
     _ARGS = ["simulate", "--level", "4", "--ensemble", "2", "--band-n", "6"]
@@ -183,11 +201,117 @@ class TestAtomicOutputs:
         assert main(dump + ["--ensemble", "2"]) == 2
         assert not (out / "summary.json").exists()
 
+    def test_failed_dump_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o"
+        save_path = runner.save_path
+        calls = []
+
+        def failing_save_path(path, fh):
+            calls.append(path)
+            if len(calls) == 2:
+                fh.write(b"BPATH1")  # a partial dump
+                raise OSError(28, "No space left on device")
+            save_path(path, fh)
+
+        monkeypatch.setattr(runner, "save_path", failing_save_path)
+        code = main(["simulate", "--level", "4", "--band-n", "6", "--ensemble", "3",
+                     "--dump-paths", "--out", str(out)])
+        assert code == 2
+        assert len(calls) == 2
+        assert list(out.rglob("*.tmp")) == []
+        assert not (out / "summary.json").exists()
+        assert [p.name for p in (out / "paths").iterdir()] == ["path_00000.bpath"]
+
     def test_unwritable_trace_leaves_no_temporary_file(self, tmp_path):
         out = tmp_path / "out"
         (out / "trace.csv").mkdir(parents=True)
         assert main(self._ARGS + ["--out", str(out)]) == 2
         assert os.listdir(out) == ["trace.csv"]
+
+
+# The flags every subcommand accepted before the flags were derived from
+# the ExperimentConfig fields; the derived surface must stay exactly this.
+_FLAGS = {
+    "-h", "--help", "--config", "--alpha", "--chain-order", "--initial-x", "--initial-y",
+    "--initial-z", "--band-n", "--level", "--levels", "--level-ref", "--horizon",
+    "--ensemble", "--seed", "--perturbation", "--scheme", "--zero-noise", "--no-zero-noise",
+    "--origin-eps", "--workers", "--out", "--trace-stride", "--tol-abs", "--tol-step-scale",
+    "--dump-paths", "--no-dump-paths",
+}
+
+# One valid, non-default value per field, as config-file text.
+_SAMPLES = {
+    "alpha": "0.8", "chain_order": "2", "initial_x": "0.25", "initial_y": "-0.5",
+    "initial_z": "0.5", "band_n": "3", "level": "7", "levels": "6,8", "level_ref": "11",
+    "horizon": "0.5", "ensemble": "9", "seed": "0x1f", "perturbation": "jitter:1e-3",
+    "scheme": "plain-em", "zero_noise": "true", "origin_eps": "1e-3", "workers": "2",
+    "out_dir": "elsewhere", "trace_stride": "4", "tol_abs": "1e-9", "tol_step_scale": "2.5",
+    "dump_paths": "true",
+}
+
+_TYPES = get_type_hints(ExperimentConfig)
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _field_actions(sub):
+    return {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+
+
+class TestCliSurface:
+    def test_commands_and_flags_unchanged(self):
+        subs = _subparsers()
+        assert list(subs) == ["simulate", "couple", "bounds", "excursions", "converge"]
+        assert list(subs) == list(COMMANDS)
+        assert set(runner._COMMANDS) == set(COMMANDS)
+        for sub in subs.values():
+            assert set(sub._option_string_actions) == _FLAGS
+
+    def test_one_flag_per_field(self):
+        names = [f.name for f in fields(ExperimentConfig) if f.name != "command"]
+        for sub in _subparsers().values():
+            actions = [a for a in sub._actions if a.dest not in ("help", "config")]
+            assert sorted(a.dest for a in actions) == sorted(names)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)[1:]])
+    def test_file_and_flag_values_agree(self, tmp_path, name):
+        assert set(_SAMPLES) == {f.name for f in fields(ExperimentConfig)[1:]}
+        text = _SAMPLES[name]
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"{name} = {text}\n")
+        flag = _field_actions(_subparsers()["simulate"])[name].option_strings[0]
+        parser = build_parser()
+        from_file = _resolve_config(parser.parse_args(["simulate", "--config", str(cfg_file)]))
+        argv = [flag] if _TYPES[name] is bool else [flag, text]
+        from_flag = _resolve_config(parser.parse_args(["simulate", *argv]))
+        assert from_file == from_flag
+        assert from_flag != ExperimentConfig(command="simulate")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, "fast") for name, hint in _TYPES.items()
+         if hint not in (bool, str) or name == "scheme"]
+        + [("level", "010"), ("levels", "6,x")],
+    )
+    def test_bad_flag_value_exits_2_naming_field(self, tmp_path, capsys, name, value):
+        flag = _field_actions(_subparsers()["simulate"])[name].option_strings[0]
+        out = tmp_path / "o"
+        assert main(["simulate", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chainsde: config error:")
+        assert re.search(rf"\b{name}\b", err)
+        assert not out.exists()
+
+    def test_readme_names_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration", 1)[1]
+        block = section.split("```", 2)[1]
+        listed = {line.split()[0] for line in block.splitlines() if line.strip()}
+        assert {f.name for f in fields(ExperimentConfig)} <= listed
 
 
 class TestCommands:
