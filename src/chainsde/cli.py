@@ -6,11 +6,12 @@ The commands and their help lines are `config.COMMANDS`.  The flags are
 derived from the ExperimentConfig fields, one per field:
 `--<field-with-dashes>` (`--out DIR` for out_dir), booleans as
 `--flag/--no-flag`.  Flag text is parsed by the same `_coerce` as file
-values, so a bad value is a config error naming the field.  Values come
-from the defaults, then the config file, then explicit flags.  The
-environment variable CHAINSDE_WORKERS overrides the worker count.  Exit
-codes: 0 checks passed, 1 an invariant check failed, 2 configuration or
-runtime error.
+values, so a bad value is a config error naming the field; a value may
+start with a dash wherever `float` reads it as a number (`-1e-3`,
+`-inf`).  Values come from the defaults, then the config file, then
+explicit flags.  The environment variable CHAINSDE_WORKERS overrides the
+worker count.  Exit codes: 0 checks passed, 1 an invariant check failed,
+2 configuration or runtime error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,23 @@ from dataclasses import fields
 from .config import _TYPES, COMMANDS, ExperimentConfig, parse_config_file
 from .errors import ChainSDEError, ConfigError
 from . import runner
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any text `float` parses as a value.
+
+    argparse takes only -N and -N.N for negative numbers; every other
+    word with a leading dash, such as -1e-3, -2.5E+1 or -inf, would be
+    read as an unknown option and the flag before it left without its
+    value.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -37,7 +55,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainsde",
         description="Coupled Monte Carlo experiments for the triangular noise chain",
     )

@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.chain_order not in (2, 3):
             raise ConfigError(f"chain_order must be 2 or 3, got {self.chain_order}")
+        for name in ("initial_x", "initial_y", "initial_z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.chain_order == 2 and self.initial_z != 0.0:
             raise ConfigError("initial_z must be 0 for chain_order 2")
         if self.band_n < 1:
@@ -92,8 +95,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"level_ref ({self.level_ref}) must exceed every entry of levels {self.levels}"
                 )
-        if not self.horizon > 0.0:
-            raise ConfigError(f"horizon must be > 0, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.ensemble < 1:
             raise ConfigError(f"ensemble must be >= 1, got {self.ensemble}")
         if not 0 <= self.seed < 2**64:

@@ -21,12 +21,13 @@ continues to the horizon (the truncated system); otherwise the
 trajectory is cut at the stop point.
 
 Ensembles integrate in lockstep as numpy row vectors, one row per path;
-single-path solves run a scalar loop.  Both kernels evaluate the one
-`core` definition of the coefficient and the scheme update (written with
-plain operators and numpy ufuncs, so one source serves floats and rows)
-and classify stops with the one `_stop_codes`, so they produce
-bitwise-identical trajectories for the same seed, as does iterating
-`step` where the grid times are exact.
+they check stops and write records once per sub-block of steps (up to
+`_SUB`), not once per step.  Single-path solves run a scalar loop.  Both
+kernels evaluate the one `core` definition of the coefficient and the
+scheme update (written with plain operators and numpy ufuncs, so one
+source serves floats and rows) and classify stops with the one
+`_stop_codes`, so they produce bitwise-identical trajectories for the
+same seed, as does iterating `step` where the grid times are exact.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ __all__ = [
 # Memory budget for one lockstep block (one block of increments plus the
 # records), bytes.
 _BLOCK_BUDGET = 1_600_000_000
+
+# Steps the lockstep kernel advances between two stop checks and record
+# writes (the longest sub-block).
+_SUB = 32
 
 
 class Scheme(enum.Enum):
@@ -290,7 +295,16 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
 
     Each step evaluates the core coefficient and scheme update on rows,
     one entry per path; stopped paths are masked out only once a stop
-    has happened.  Blocks are consumed in time order; the state,
+    has happened.  The steps run in sub-blocks of up to `_SUB` with no
+    stop check in between, keeping each step's state and anchors by
+    reference (no state or anchor array is written in place).  A
+    sub-block's states are then stacked into one buffer, classified at
+    once (`stops`) and written to the records.  Where a path stopped and
+    evolves on, the rows after its stop were stepped with its noise on:
+    the kernel resumes from the saved state of that row, and the next
+    sub-block is half as long, doubling back after clean ones.  The
+    anchor time is one float while every evolving path's anchor moved at
+    the same step.  Blocks are consumed in time order; the state,
     anchors, stops and record index carry over.
     """
     M, n_steps = increments.shape
@@ -303,77 +317,125 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
     rec = np.empty((M, n_rec + 1, d), dtype=np.float64)
     stop_code = np.zeros(M, dtype=np.int8)
     stop_idx = np.full(M, n_steps, dtype=np.int64)
+    # one sub-block of states, stacked (row, coordinate, path)
+    stacked = np.empty((_SUB, d, M), dtype=np.float64)
 
     s = tuple(init[:, j].copy() for j in range(d))
     # anchors for the drift-exact scheme; z anchors itself
-    ax, ay, at = s[0].copy(), s[1].copy(), np.zeros(M)
+    ax, ay, at = s[0], s[1], 0.0
 
     evolving = np.ones(M, dtype=bool)
-    noisy = np.ones(M, dtype=bool)
-    any_active = all_evolving = all_noisy = True
+    quiet = np.zeros(M, dtype=bool)  # paths whose noise is off: the stopped ones
+    any_active = all_noisy = True
+    n_evolving = M
 
-    def stops(idx):
-        """Classify and record stops among still-active paths."""
-        nonlocal any_active, all_evolving, all_noisy
+    def stops(states, idx):
+        """Apply the stops among still-active paths in `states`, stacked
+        (row, coordinate, path) with row r at grid index idx + r.
+
+        A path stops at its first row with a stop code, as it would step
+        by step, since a stop changes only the stopped path's later steps.
+        The later rows of a frozen path are set to its stop row.  Returns
+        the last row still valid: the first row at which a path stops and
+        evolves on (a band stop under continue_after_stop), else the last
+        row.  Stops after that row are not applied: the rows after it are
+        stepped again.
+        """
+        nonlocal any_active, all_noisy, n_evolving
+        last = states.shape[0] - 1
         if not any_active:
-            return
-        linf = _linf(s)
+            return last
+        linf = _linf(states.transpose(1, 0, 2))
+        if not all_noisy:
+            # a stopped path stops no more: 1 lies inside every band
+            np.copyto(linf, 1.0, where=quiet)
         # a NaN minimum or an infinite maximum fails this band test too
         if inner < linf.min() and linf.max() < outer:
-            return
+            return last
         code = _stop_codes(linf, eps, inner, outer)
-        hit = (stop_code == 0) & (code > 0)
-        if not hit.any():
-            return
-        np.copyto(stop_code, code, where=hit)
-        np.copyto(stop_idx, idx, where=hit)
-        if cfg.continue_after_stop:
-            frozen = hit & (code == np.int8(StopReason.BLOWUP))
-        else:
-            frozen = hit
-        np.logical_and(evolving, ~frozen, out=evolving)
-        np.logical_and(noisy, ~hit, out=noisy)
+        paths = np.flatnonzero(code.any(axis=0))
+        rows = (code[:, paths] != 0).argmax(axis=0)
+        codes = code[rows, paths]
+        frozen = codes == np.int8(StopReason.BLOWUP)
+        if not cfg.continue_after_stop:
+            frozen[:] = True
+        elif not frozen.all():
+            # a band-stopped path evolves on without noise
+            last = int(rows[~frozen].min())
+            keep = rows <= last
+            paths, rows, codes, frozen = paths[keep], rows[keep], codes[keep], frozen[keep]
+        stop_code[paths] = codes
+        stop_idx[paths] = idx + rows
+        quiet[paths] = True
+        paths, rows = paths[frozen], rows[frozen]
+        evolving[paths] = False
+        for p, r in zip(paths.tolist(), rows.tolist()):
+            states[r + 1 : last + 1, :, p] = states[r, :, p]
         any_active = bool((stop_code == 0).any())
-        all_evolving = bool(evolving.all())
-        all_noisy = bool(noisy.all())
+        n_evolving = int(np.count_nonzero(evolving))
+        all_noisy = False
+        return last
 
-    def record(r):
-        for j, c in enumerate(s):
-            rec[:, r, j] = c
+    def record(k, n):
+        """Write the recorded rows among steps k+1..k+n from `stacked`."""
+        first = -(k + 1) % stride
+        if first < n:
+            rows = stacked[first:n:stride]
+            r0 = (k + 1 + first) // stride
+            rec[:, r0 : r0 + rows.shape[0]] = rows.transpose(2, 0, 1)
 
     k = 0
+    sub = _SUB
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        stops(0)
-        record(0)
+        rec[:, 0] = init
+        stacked[0] = init.T
+        stops(stacked[:1], 0)
         for block in _blocks(increments):
-            # step-contiguous layout for the column reads in the hot loop
+            # step-contiguous layout for the row reads in the hot loop
             inc_t = np.ascontiguousarray(block.T)
             del block
-            for dB in inc_t:
-                t_next = (k + 1) * h
-                dlast = _abs_pow(s[0], alpha) * dB
-                if not all_noisy:
-                    np.copyto(dlast, 0.0, where=~noisy)
-                if drift_exact:
-                    new = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
-                else:
-                    new = _advance(s, h, dlast, False)
-                if all_evolving:
-                    s = new
-                else:
-                    s = tuple(np.where(evolving, n, o) for n, o in zip(new, s))
-                if drift_exact:
-                    moved = dlast != 0.0
-                    if not all_evolving:
-                        moved &= evolving
-                    np.copyto(ax, s[0], where=moved)
-                    np.copyto(ay, s[1], where=moved)
-                    np.copyto(at, t_next, where=moved)
-                stops(k + 1)
-                if (k + 1) % stride == 0:
-                    record((k + 1) // stride)
-                k += 1
-            # the last row view would keep this block alive while the next is drawn
+            i = 0
+            while i < inc_t.shape[0]:
+                n = min(sub, inc_t.shape[0] - i)
+                states, anchors = [], []
+                for j, dB in enumerate(inc_t[i : i + n], start=k + 1):
+                    t_next = j * h
+                    dlast = _abs_pow(s[0], alpha) * dB
+                    if not all_noisy:
+                        np.copyto(dlast, 0.0, where=quiet)
+                    if drift_exact:
+                        new = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
+                    else:
+                        new = _advance(s, h, dlast, False)
+                    if n_evolving == M:
+                        s = new
+                    else:
+                        s = tuple(np.where(evolving, a, b) for a, b in zip(new, s))
+                    if drift_exact:
+                        # A path's anchor moves with its noise.  A frozen
+                        # path has its noise off, and its anchor is never
+                        # used again (its update is discarded by the where).
+                        moved = np.count_nonzero(dlast)
+                        if moved == n_evolving:
+                            ax, ay, at = s[0], s[1], t_next
+                        elif moved:
+                            m = dlast != 0.0
+                            ax, ay = np.where(m, s[0], ax), np.where(m, s[1], ay)
+                            at = np.where(m, t_next, at)
+                    states.extend(s)
+                    anchors.append((ax, ay, at))
+                np.concatenate(states, out=stacked[:n].reshape(-1))
+                last = stops(stacked[:n], k + 1)
+                record(k, last + 1)
+                # the stacked row holds the state with any frozen stop applied
+                s = tuple(stacked[last].copy())
+                ax, ay, at = anchors[last]
+                del states, anchors
+                # rows past `last` were stepped with stale masks: shrink
+                sub = min(2 * sub, _SUB) if last == n - 1 else max(sub // 2, 1)
+                k += last + 1
+                i += last + 1
+            # a row view would keep this block alive while the next is drawn
             del inc_t, dB
 
     stop_code = np.where(stop_code == 0, np.int8(StopReason.HORIZON_REACHED), stop_code)

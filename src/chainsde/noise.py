@@ -136,12 +136,15 @@ def _split_increments(parent: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Cells whose rounded pair sum misses the parent are repaired by a
     deterministic search: the left child steps through nearby
-    representable values (up to three ulps) with the right child
-    recomputed as p - left each time, accepting the first pair whose
-    rounded sum equals the parent.  Cells with |left| > 2|p| are left
-    alone: no representable exact split exists there (the cancellation
-    floor in the module docstring) and the plain pair is already within
-    half an ulp of the children's scale.  `xi` is overwritten as scratch.
+    representable values in the order +1, -1, +2, -2, +3, -3 ulps, with
+    the right child recomputed as p - left each time, accepting the first
+    pair whose rounded sum equals the parent.  Each direction's candidate
+    is one `nextafter` from its previous one, and only cells still
+    unresolved are stepped: a resolved cell leaves the search.  Cells
+    with |left| > 2|p| are left alone: no representable exact split
+    exists there (the cancellation floor in the module docstring) and the
+    plain pair is already within half an ulp of the children's scale.
+    `xi` is overwritten as scratch.
     """
     out = np.empty(parent.size * 2, dtype=np.float64)
     left = out[0::2]
@@ -150,29 +153,28 @@ def _split_increments(parent: np.ndarray, xi: np.ndarray) -> np.ndarray:
     left += xi
     np.subtract(parent, left, out=right)
     np.add(left, right, out=xi)
-    bad = np.flatnonzero(xi != parent)
-    if bad.size:
-        feasible = np.abs(left[bad]) <= 2.0 * np.abs(parent[bad])
-        idx = bad[feasible]
-        if idx.size:
-            p = parent[idx]
-            lft = left[idx]
-            rgt = right[idx]
-            done = (lft + rgt) == p
-            for k in (1, -1, 2, -2, 3, -3):
-                if done.all():
+    idx = np.flatnonzero(xi != parent)
+    if idx.size:
+        idx = idx[np.abs(left[idx]) <= 2.0 * np.abs(parent[idx])]
+    if idx.size:
+        p = parent[idx]
+        up = down = left[idx]
+        for k in (1, -1, 2, -2, 3, -3):
+            if k > 0:
+                up = cand = np.nextafter(up, math.inf)
+            else:
+                down = cand = np.nextafter(down, -math.inf)
+            r2 = p - cand
+            ok = (cand + r2) == p
+            hit = np.flatnonzero(ok)
+            if hit.size:
+                pos = idx[hit]
+                left[pos] = cand[hit]
+                right[pos] = r2[hit]
+                if hit.size == idx.size:
                     break
-                target = math.inf if k > 0 else -math.inf
-                cand = lft
-                for _ in range(abs(k)):
-                    cand = np.nextafter(cand, target)
-                r2 = p - cand
-                ok = ~done & ((cand + r2) == p)
-                lft = np.where(ok, cand, lft)
-                rgt = np.where(ok, r2, rgt)
-                done |= ok
-            left[idx] = lft
-            right[idx] = rgt
+                rest = np.flatnonzero(~ok)
+                idx, p, up, down = idx[rest], p[rest], up[rest], down[rest]
     return out
 
 

@@ -15,7 +15,9 @@ byte-identical for any worker count.
 
 The trace is written column by column in blocks of rows: each block
 formats every column once by dtype (shortest round-trip `repr` for
-floats), with the same bytes as formatting each cell with `_fmt`.  The
+floats), with the same bytes as formatting each cell with `_fmt`.  A
+column of repeated values (the path, seed, time and level columns) is
+an `_Indexed` column that formats each distinct value once.  The
 summary is sorted-key JSON, with no timestamps or machine-specific
 content.  Both files are written under temporary names and moved into
 place, trace first and summary last, after any summary of an earlier run
@@ -160,14 +162,42 @@ def _fmt(value) -> str:
 _BOOL_TEXT = ("false", "true")
 
 
+class _Indexed:
+    """A trace column whose row i holds values[index[i]].
+
+    Each distinct value is formatted once, when the column is made; the
+    rows then only look up their cells.
+    """
+
+    def __init__(self, values, index: np.ndarray):
+        self.cells = np.array(list(_format_column(values, 0, len(values))), dtype=object)
+        self.index = index
+
+    def __len__(self) -> int:
+        return self.index.size
+
+
+def _repeated(values, counts) -> _Indexed:
+    """np.repeat(values, counts) as a trace column."""
+    return _Indexed(values, np.repeat(np.arange(len(values)), counts))
+
+
+def _tiled(values, reps: int) -> _Indexed:
+    """np.tile(values, reps) as a trace column."""
+    return _Indexed(values, np.tile(np.arange(len(values)), reps))
+
+
 def _format_column(column, lo: int, hi: int):
     """The cells of rows [lo, hi) of one trace column, with `_fmt`'s bytes.
 
-    Numeric and bool arrays are formatted by dtype in one pass; any other
-    sequence goes through `_fmt`, and None stands for an all-empty column.
+    Numeric and bool arrays are formatted by dtype in one pass; an
+    `_Indexed` column looks up its formatted values; any other sequence
+    goes through `_fmt`, and None stands for an all-empty column.
     """
     if column is None:
         return [""] * (hi - lo)
+    if isinstance(column, _Indexed):
+        return column.cells[column.index[lo:hi]].tolist()
     part = column[lo:hi]
     if isinstance(part, np.ndarray):
         kind = part.dtype.kind
@@ -284,9 +314,9 @@ def _simulate(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
 
     n_paths, n_times = coords.shape[:2]
     columns = [
-        np.repeat(np.arange(n_paths), n_times),
-        np.repeat(np.asarray(seeds, dtype=np.uint64), n_times),
-        np.tile(times, n_paths),
+        _repeated(np.arange(n_paths), n_times),
+        _repeated(np.asarray(seeds, dtype=np.uint64), n_times),
+        _tiled(times, n_paths),
         *(coords[:, :, k].ravel() for k in range(coords.shape[2])),
     ]
     if config.chain_order == 2:
@@ -451,7 +481,7 @@ def _excursions(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     min_gaps = [float(gaps.min()) for _, gaps in paths if gaps.size]
     # one row per hit; the first hit of a path has no gap
     columns = [
-        np.repeat(np.asarray(seeds, dtype=np.uint64), counts),
+        _repeated(np.asarray(seeds, dtype=np.uint64), counts),
         np.concatenate([np.arange(count) for count in counts]),
         np.concatenate([hits for hits, _ in paths]),
         [gap for hits, gaps in paths if hits.size for gap in (None, *gaps.tolist())],
@@ -485,9 +515,9 @@ def _converge(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
 
     n_levels, n_paths = errors.shape
     columns = [
-        np.repeat(config.levels, n_paths),
-        np.tile(np.arange(n_paths), n_levels),
-        np.tile(np.asarray(seeds, dtype=np.uint64), n_levels),
+        _repeated(np.asarray(config.levels), n_paths),
+        _tiled(np.arange(n_paths), n_levels),
+        _tiled(np.asarray(seeds, dtype=np.uint64), n_levels),
         errors.ravel(),
     ]
 

@@ -306,6 +306,34 @@ class TestCliSurface:
         assert re.search(rf"\b{name}\b", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--initial-x", "-1e-3"), ("--initial-y", "-2.5E+1"), ("--initial-z", "-.5e-300"),
+        ("--initial-x", "-7"),
+    ])
+    def test_spaced_negative_value_is_the_equals_form(self, flag, value):
+        parser = build_parser()
+        spaced = _resolve_config(parser.parse_args(["simulate", flag, value]))
+        joined = _resolve_config(parser.parse_args(["simulate", f"{flag}={value}"]))
+        assert spaced == joined
+        assert spaced != ExperimentConfig(command="simulate")
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--initial-x", "initial_x"), ("--initial-y", "initial_y"), ("--initial-z", "initial_z"),
+    ])
+    def test_minus_inf_start_exits_2_naming_field(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "o"
+        assert main(["simulate", flag, "-inf", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chainsde: config error:")
+        assert re.search(rf"\b{name}\b", err)
+        assert not out.exists()
+
+    def test_missing_flag_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--initial-x", "--level", "3"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_readme_names_every_field(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Configuration", 1)[1]

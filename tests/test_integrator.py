@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chainsde import integrator, noise
 from chainsde.core import ChainState, SystemParams, diffusion_coeff, drift_flow
 from chainsde.errors import ConfigError
 from chainsde.integrator import (
@@ -357,3 +358,118 @@ class TestEnsembleApi:
             integrate_block(par, cfg, np.zeros(8))
         with pytest.raises(ValueError):
             integrate_block(par, cfg, np.zeros((2, 8)), initial_coords=np.zeros((3, 3)))
+
+
+_H = 2.0**-8  # grid step of the sub-block cases: T = 1, level 8
+
+
+def _outer_at(k):
+    """A start whose drift reaches the outer band 2^1 exactly at step k."""
+    return (2.0 - k * _H, 1.0, 0.0)
+
+
+def _inner_at(k):
+    """A start whose drift reaches the inner band 2^-1 exactly at step k."""
+    return (0.5 + k * _H * 0.25, -0.25, 0.0)
+
+
+def _rows_match_scalar(par, cfg, inc, init, stride=1):
+    """The lockstep result of every row is bitwise the scalar kernel's."""
+    ens = integrate_block(par, cfg, inc, initial_coords=init, record_stride=stride)
+    for i in range(inc.shape[0]):
+        one = integrate_block(par, cfg, inc[i : i + 1], initial_coords=init[i : i + 1],
+                              record_stride=stride)
+        assert one.coords.tobytes() == ens.coords[i : i + 1].tobytes(), i
+        assert one.stop_reasons[0] == ens.stop_reasons[i], i
+        assert one.stop_indices[0] == ens.stop_indices[i], i
+    return ens
+
+
+class TestSubBlockEdges:
+    """Stops and records at the edges of the lockstep kernel's sub-blocks."""
+
+    @pytest.fixture(params=[1, 3, 32, 64], autouse=True)
+    def sub(self, request, monkeypatch):
+        monkeypatch.setattr(integrator, "_SUB", request.param)
+        return request.param
+
+    def _case(self, stops, n_noisy, steps=256, order=3, seed=0):
+        """Rows stopping at the given steps, then noisy rows.
+
+        The stopping rows draw increments of 1e-30: too small to move x or
+        y, so they stop on time, but z keeps changing until the noise is
+        switched off at the stop.
+        """
+        rng = np.random.default_rng(seed)
+        starts = [_outer_at(k) if i % 2 else _inner_at(k) for i, k in enumerate(stops)]
+        starts += [(0.0, 1.0, 0.0)] * n_noisy
+        init = np.array(starts)[:, :order]
+        inc = rng.standard_normal((len(starts), steps)) * math.sqrt(_H)
+        inc[: len(stops)] = 1e-30
+        return params_at((0.0, 1.0, 0.0)[:order]), init, inc
+
+    @pytest.mark.parametrize("cont", [False, True])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("order", [3, 2])
+    def test_stops_at_sub_block_edges(self, order, scheme, cont):
+        # step 0; the first and last steps of sub-blocks of 1, 3, 32 and
+        # 64; several stops in one sub-block; noisy rows stopping anywhere
+        stops = [0, 1, 2, 3, 4, 6, 7, 31, 32, 33, 63, 64, 65, 127, 128, 129,
+                 200, 200, 201, 201, 202]
+        par, init, inc = self._case(stops, n_noisy=12, order=order)
+        cfg = SolveConfig(level=8, band_n=1, max_time=1.0, scheme=scheme,
+                          continue_after_stop=cont)
+        for stride in (1, 4):
+            ens = _rows_match_scalar(par, cfg, inc, init, stride)
+        assert ens.stop_indices[: len(stops)].tolist() == stops
+        assert set(ens.stop_reasons[: len(stops)].tolist()) == {
+            StopReason.OUTER_BAND, StopReason.INNER_BAND}
+
+    @pytest.mark.parametrize("cont", [False, True])
+    def test_every_path_stopped_mid_block(self, cont):
+        stops = [5, 70, 33, 70, 34, 1, 99]  # the last stop falls mid-block
+        par, init, inc = self._case(stops, n_noisy=0)
+        cfg = SolveConfig(level=8, band_n=1, max_time=1.0, continue_after_stop=cont)
+        ens = _rows_match_scalar(par, cfg, inc, init)
+        assert ens.stop_indices.tolist() == stops
+        if not cont:
+            for i, k in enumerate(stops):
+                assert np.all(ens.coords[i, k:] == ens.coords[i, k])
+
+    def test_blowup_after_band_stop_continues(self):
+        # row 0 leaves the band at step 0 and overflows as it drifts on;
+        # row 1 blows up while active (an infinite increment) and freezes;
+        # row 2 stops in the band the step before its infinite increment,
+        # which the switched-off noise then ignores; the rest stop in the
+        # band or run on with noise
+        par, init, inc = self._case([3, 40, 41], n_noisy=8)
+        init = np.vstack([[0.0, 1e308, 1e308], [0.0, 1.0, 0.0], init])
+        inc = np.vstack([np.zeros((1, 256)), np.full((1, 256), 1e-3), inc])
+        inc[1, 39] = math.inf  # the increment of step 40
+        inc[2, 3] = math.inf  # the increment of step 4, after the stop at 3
+        cfg = SolveConfig(level=8, band_n=1, max_time=1.0, continue_after_stop=True)
+        ens = _rows_match_scalar(par, cfg, inc, init)
+        assert ens.stop_reason(0) is StopReason.OUTER_BAND and ens.stop_indices[0] == 0
+        assert not np.all(np.isfinite(ens.coords[0, -1]))
+        assert ens.stop_reason(1) is StopReason.BLOWUP and ens.stop_indices[1] == 40
+        assert ens.stop_indices[2:5].tolist() == [3, 40, 41]
+
+    @pytest.mark.parametrize("steps, stride", [(100, 1), (100, 4), (100, 5), (7, 7)])
+    def test_matrix_width_not_a_multiple_of_sub(self, steps, stride):
+        par, init, inc = self._case([0, 6, 50, 99], n_noisy=6, steps=steps)
+        cfg = SolveConfig(level=8, band_n=1, max_time=1.0, continue_after_stop=True)
+        _rows_match_scalar(par, cfg, inc, init, stride)
+
+    @pytest.mark.parametrize("width", [2, 8, 16])
+    def test_stream_blocks_narrower_than_sub(self, monkeypatch, width):
+        # the stream yields blocks of `width` steps; sub-blocks end with them
+        seeds = [path_seed(61, i) for i in range(8)]
+        monkeypatch.setattr(noise, "_BLOCK_CELLS", len(seeds) * width)
+        par = params_at((0.0, 0.6, 0.0))
+        cfg = SolveConfig(level=8, band_n=1, max_time=4.0)
+        ens = solve_ensemble(par, cfg, seeds)
+        assert len(set(ens.stop_indices.tolist())) > 2
+        for i, s in enumerate(seeds):
+            single = solve(par, generate(s, 4.0, 8), cfg)
+            assert single.stop_index == ens.stop_indices[i]
+            assert single.coords.tobytes() == ens.trajectory(i).coords.tobytes()

@@ -95,3 +95,24 @@ def test_unequal_columns_rejected(tmp_path):
         runner._write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), [1, 2]])
     with pytest.raises(ValueError, match="header"):
         runner._write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3)])
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, 8192])
+def test_repeated_columns_match_their_arrays(tmp_path, monkeypatch, block):
+    # the path/seed/time/level columns format each distinct value once
+    monkeypatch.setattr(runner, "_WRITE_BLOCK", block)
+    seeds = np.array([2**64 - 1, 0, 16294208416658607535], dtype=np.uint64)
+    times = np.array([0.0, 0.1, 1.0 / 3.0, 5e-324])
+    counts = [5, 0, 7]  # a seed without rows, as in excursions
+    header = ["path", "seed", "time", "hit_seed", "level"]
+    arrays = [
+        np.repeat(np.arange(3), 4), np.repeat(seeds, 4), np.tile(times, 3),
+        np.repeat(seeds, counts), np.repeat(np.asarray((10, 12, 14)), 4),
+    ]
+    columns = [
+        runner._repeated(np.arange(3), 4), runner._repeated(seeds, 4), runner._tiled(times, 3),
+        runner._repeated(seeds, counts), runner._repeated(np.asarray((10, 12, 14)), 4),
+    ]
+    path = tmp_path / "trace.csv"
+    runner._write_csv(path, header, columns)
+    assert path.read_bytes() == reference_csv(header, arrays).encode("utf-8")
