@@ -391,7 +391,8 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
         stacked[0] = init.T
         stops(stacked[:1], 0)
         for block in _blocks(increments):
-            # step-contiguous layout for the row reads in the hot loop
+            # the hot loop reads one step's row at a time: stream blocks
+            # arrive step-major and pass through, a matrix is copied
             inc_t = np.ascontiguousarray(block.T)
             del block
             i = 0

@@ -10,29 +10,45 @@ so solvers running at different resolutions consume the same underlying
 Brownian motion.
 
 Randomness is counter-based: the midpoint displacements added at
-refinement level j come from a Philox stream keyed by (seed, j), mapped
-to uniforms by the documented rule u = ((word >> 11) + 0.5) * 2**-53 and
-to Gaussians by the inverse normal CDF (scipy.special.ndtri).  No global
-RNG state is touched, and generation or refinement of distinct paths and
-levels may run in any order, including in parallel.
+refinement level j come from a Philox4x64-10 stream keyed by (seed, j),
+mapped to uniforms by the documented rule
+u = ((word >> 11) + 0.5) * 2**-53 and to Gaussians by the inverse normal
+CDF (scipy.special.ndtri).  No global RNG state is touched, and
+generation or refinement of distinct paths and levels may run in any
+order, including in parallel.
 
 Refinement splits each parent increment p into children (l, r) with
-l = p/2 + xi, xi ~ N(0, var(p)/4) and r = p - l, then nudges the pair by
-at most two ulps each so that the rounded sum l + r reproduces p bitwise
-whenever a representable split exists.  It always does when |xi| <~ |p|;
-in the remaining cancellation cells no exact split exists in binary64
-and the nearest pair is kept, leaving the reconstruction within half an
-ulp *of the children's own scale* (sub-ulp of the per-cell increment
-deviation, invisible at the path level).  `coarsen` reconstructs coarser
-levels by the matching pairwise tree reduction.
+l = p/2 + xi, xi ~ N(0, var(p)/4) and r = p - l, then steps the left
+child by at most three ulps, recomputing r = p - l each time, so that
+the rounded sum l + r reproduces p bitwise whenever a representable
+split exists.  It always does when |xi| <~ |p|; in the remaining
+cancellation cells no exact split exists in binary64 and the nearest
+pair is kept, leaving the reconstruction within half an ulp *of the
+children's own scale* (sub-ulp of the per-cell increment deviation,
+invisible at the path level).  `coarsen` reconstructs coarser levels by
+the matching pairwise tree reduction.
+
+The Philox words and the splits of one level are computed for all seeds
+in one call each to a small C library (`_noise.c`), compiled at import
+with the C compiler Python was built with and cached in this package's
+`__pycache__`.  A C compiler is optional: without one, or if the build
+fails, the same arithmetic runs in numpy (`np.random.Philox` in
+`_uniforms`, and `_split_increments`), with the same bits but slower.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import shlex
 import struct
+import subprocess
+import sysconfig
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -65,6 +81,55 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MAGIC = b"BPATH1"
 _HEADER = struct.Struct("<6sQdI")
+
+_SOURCE = Path(__file__).with_name("_noise.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math")
+
+
+def _build_native(cache: Path) -> Path:
+    """The compiled `_noise.c` in directory `cache`, built first if absent.
+
+    The file name hashes the source, the compiler command and flags and
+    the platform, so a library built from other inputs is never loaded.
+    The compiler writes a temporary file that is then renamed into
+    place, so concurrent builds leave one whole library.  Raises OSError
+    when no compiler is configured or runs, SubprocessError when the
+    build fails.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc:
+        raise OSError("Python names no C compiler")
+    cmd = [*cc, *_CFLAGS]
+    key = _SOURCE.read_bytes() + repr((cmd, sysconfig.get_platform())).encode()
+    lib = cache / f"_noise-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    if not lib.exists():
+        cache.mkdir(exist_ok=True)
+        tmp = cache / f".{lib.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+        try:
+            subprocess.run([*cmd, "-o", str(tmp), str(_SOURCE), "-lm"], check=True,
+                           capture_output=True, timeout=120)
+            os.replace(tmp, lib)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return lib
+
+
+def _load_native(cache: Path) -> ctypes.CDLL | None:
+    """The native noise library, or None when it cannot be built or loaded."""
+    try:
+        lib = ctypes.CDLL(str(_build_native(cache)))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.philox_uniforms.argtypes = [ptr, i64, ctypes.c_uint64, i64, i64, ptr]
+    lib.philox_uniforms.restype = None
+    lib.split_increments.argtypes = [ptr, ptr, i64, i64, ptr, i64, i64]
+    lib.split_increments.restype = None
+    return lib
+
+
+# The native backend, or None for the numpy one; nothing else selects it.
+_lib = _load_native(Path(__file__).with_name("__pycache__"))
 
 
 def _splitmix64(v: int) -> int:
@@ -115,12 +180,30 @@ def _rekey(ph: np.random.Philox, seed: int, stream: int, offset: int = 0) -> Non
         ph.random_raw(offset % 4)
 
 
-def _to_gauss(raw: np.ndarray, std: float) -> np.ndarray:
-    """Map raw 64-bit words to N(0, std^2) by the documented uniform rule
-    u = ((word >> 11) + 1/2) * 2^-53 and the inverse normal CDF."""
+def _uniforms(seeds, stream: int, offset: int, n: int) -> np.ndarray:
+    """(len(seeds), n) uniforms of words offset..offset+n-1 of the Philox
+    streams (seed, stream), by the documented rule
+    u = ((word >> 11) + 1/2) * 2^-53."""
+    m = len(seeds)
+    if _lib is not None:
+        u = np.empty((m, n), dtype=np.float64)
+        keys = np.array(seeds, dtype=np.uint64)
+        _lib.philox_uniforms(keys.ctypes.data, m, stream, offset, n, u.ctypes.data)
+        return u
+    ph = _fresh_philox()
+    raw = np.empty((m, n), dtype=np.uint64)
+    for i, s in enumerate(seeds):
+        _rekey(ph, s, stream, offset)
+        raw[i] = ph.random_raw(n)
     u = (raw >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    return u
+
+
+def _gaussians(seeds, stream: int, offset: int, n: int, std: float) -> np.ndarray:
+    """N(0, std^2) draws of `_uniforms` by the inverse normal CDF."""
+    u = _uniforms(seeds, stream, offset, n)
     ndtri(u, out=u)
     u *= std
     return u
@@ -262,24 +345,47 @@ def _matrix_seeds(seeds, horizon: float, level: int) -> tuple[int, ...]:
     return seeds
 
 
-def _refine_rows(inc, seeds, horizon: float, level: int, cell: int, depth: int, ph) -> np.ndarray:
+def _split(parent: np.ndarray, xi: np.ndarray, step_major: bool = False) -> np.ndarray:
+    """(m, 2n) bridge children of the (m, n) parents with the draws xi.
+
+    With `step_major` and the native backend the children are the
+    transpose of a C-contiguous (2n, m) array, the layout the lockstep
+    kernel walks; the values are the same either way.  `xi` may be
+    overwritten.
+    """
+    m, n = parent.shape
+    if xi.shape != (m, n):
+        raise ValueError(f"draws of shape {xi.shape} for parents of shape {(m, n)}")
+    if _lib is None:
+        return _split_increments(parent.ravel(), xi.ravel()).reshape(m, 2 * n)
+    parent = np.ascontiguousarray(parent, dtype=np.float64)
+    xi = np.ascontiguousarray(xi, dtype=np.float64)
+    if step_major:
+        # on a cache-line boundary, so each step's children fill whole lines
+        buf = np.empty(2 * n * m + 7, dtype=np.float64)
+        skip = (-buf.ctypes.data % 64) // 8
+        out = buf[skip : skip + 2 * n * m].reshape(2 * n, m)
+        strides = (1, m)
+    else:
+        out = np.empty((m, 2 * n), dtype=np.float64)
+        strides = (2 * n, 1)
+    _lib.split_increments(parent.ctypes.data, xi.ctypes.data, m, n, out.ctypes.data, *strides)
+    return out.T if step_major else out
+
+
+def _refine_rows(inc, seeds, horizon: float, level: int, cell: int, depth: int,
+                 step_major: bool = False) -> np.ndarray:
     """Refine rows of consecutive level-`level` cells `depth` levels down.
 
     Row i belongs to seeds[i] and its first cell is level-`level` cell
     `cell`.  The displacement of parent cell p at child level j is word p
     of the Philox stream (seed, j), so any aligned run of cells refines on
-    its own, bitwise as it would inside the whole row.
+    its own, bitwise as it would inside the whole row.  `step_major`
+    asks `_split` for that layout of the last level.
     """
-    m = len(seeds)
     for j in range(level + 1, level + depth + 1):
-        n = inc.shape[1]
-        raw = np.empty((m, n), dtype=np.uint64)
-        for i, s in enumerate(seeds):
-            _rekey(ph, s, j, cell)
-            raw[i] = ph.random_raw(n)
-        xi = _to_gauss(raw, math.sqrt(horizon * 2.0 ** -(j + 1)))
-        del raw
-        inc = _split_increments(inc.ravel(), xi.ravel()).reshape(m, 2 * n)
+        xi = _gaussians(seeds, j, cell, inc.shape[1], math.sqrt(horizon * 2.0 ** -(j + 1)))
+        inc = _split(inc, xi, step_major and j == level + depth)
         cell *= 2
     return inc
 
@@ -302,12 +408,7 @@ def generate_matrix(seeds, horizon: float, level: int) -> np.ndarray:
     time order draw it block by block instead (`_BlockStream`).
     """
     seeds = _matrix_seeds(seeds, horizon, level)
-    ph = _fresh_philox()
-    raw = np.empty((len(seeds), 1), dtype=np.uint64)
-    for i, s in enumerate(seeds):
-        _rekey(ph, s, 0)
-        raw[i] = ph.random_raw(1)
-    return _refine_rows(_to_gauss(raw, math.sqrt(horizon)), seeds, horizon, 0, 0, level, ph)
+    return _refine_rows(_gaussians(seeds, 0, 0, 1, math.sqrt(horizon)), seeds, horizon, 0, 0, level)
 
 
 class _BlockStream:
@@ -320,7 +421,9 @@ class _BlockStream:
     (top = level - log2 width) with generate_matrix and then refines each
     of its cells on its own, so it never holds more than one block and
     that block's split temporaries.  `shape` is the shape of the whole
-    matrix, which is never built.
+    matrix, which is never built.  Blocks refined by the native backend
+    and zero blocks are laid out step-major (see `_split`), so the
+    lockstep kernel reads them without a copy.
 
     With `record_level`, a pass also writes the pairwise sums of the
     increments at that level into `recorded`, (paths, 2^record_level),
@@ -349,7 +452,6 @@ class _BlockStream:
         depth = width.bit_length() - 1
         top = self.level - depth
         cells = None if self.zero else generate_matrix(self.seeds, self.horizon, top)
-        ph = _fresh_philox()
         stage = None
         if self.recorded is not None:
             # each block is summed down to level `mid`, at most to one cell
@@ -360,10 +462,10 @@ class _BlockStream:
 
         def block(c):
             if cells is None:
-                out = np.zeros((m, width), dtype=np.float64)
+                out = np.zeros((width, m), dtype=np.float64).T
             else:
                 out = _refine_rows(
-                    cells[:, c : c + 1], self.seeds, self.horizon, top, c, depth, ph
+                    cells[:, c : c + 1], self.seeds, self.horizon, top, c, depth, step_major=True
                 )
             if stage is not None:
                 stage[:, c * per : (c + 1) * per] = _pairwise_sums(out, halvings)
@@ -396,9 +498,7 @@ def refine(path: BrownianPath) -> BrownianPath:
     the fine ones.
     """
     _check_level(path.level + 1)
-    children = _refine_rows(
-        path.increments[None, :], (path.seed,), path.horizon, path.level, 0, 1, _fresh_philox()
-    )
+    children = _refine_rows(path.increments[None, :], (path.seed,), path.horizon, path.level, 0, 1)
     return BrownianPath(path.seed, path.horizon, path.level + 1, children[0])
 
 

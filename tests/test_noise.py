@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chainsde.errors import ResourceLimitError
@@ -21,7 +21,8 @@ from chainsde.noise import (
     save_path,
     value_at,
 )
-from chainsde.noise import _split_increments
+from chainsde import noise
+from chainsde.noise import _split
 from helpers import reconstruction_ulps
 
 
@@ -186,11 +187,14 @@ def repair_class(p: float, xi: float):
 
 
 def assert_split_matches_reference(parent, xi):
-    parent = np.asarray(parent, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
+    """The backend's split of (rows, cells) parents, or of one row,
+    against the reference split of the flattened cells."""
+    parent = np.atleast_2d(np.asarray(parent, dtype=np.float64))
+    xi = np.asarray(xi, dtype=np.float64).reshape(parent.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _split_increments(parent, xi.copy())
-        want = reference_split(parent, xi.copy())
+        got = _split(parent, xi.copy())
+        want = reference_split(parent.ravel(), xi.ravel().copy())
+    assert got.shape == (parent.shape[0], 2 * parent.shape[1])
     assert got.tobytes() == want.tobytes()
 
 
@@ -236,7 +240,19 @@ class TestSplitRepair:
         assert {0, 1, 2, "infeasible"} <= classes
         if scale >= 1.0:
             assert "never" in classes
-        assert_split_matches_reference(p, xi)
+        # 60 rows of 1000 cells: full and partial tiles of the native split
+        assert_split_matches_reference(p.reshape(60, 1000), xi)
+
+    def test_step_major_is_transposed_row_major(self):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(-2.0, 2.0, (37, 100))
+        xi = p * rng.uniform(-2.5, 2.5, p.shape) - p * 0.5
+        rows = _split(p, xi.copy())
+        steps = _split(p, xi.copy(), step_major=True)
+        assert np.array_equal(steps.view(np.uint64), rows.view(np.uint64))
+        assert rows.flags.c_contiguous
+        if noise._lib is not None:
+            assert steps.T.flags.c_contiguous
 
     def test_zero_and_subnormal_parents(self):
         tiny = np.array([5e-324, -5e-324, 2.0**-1060, -(2.0**-1070), 2.0**-1022])
@@ -256,13 +272,21 @@ class TestSplitRepair:
             max_size=40,
         )
     )
-    @settings(max_examples=300, deadline=None)
+    # run again by TestSplitRepairNumpy, whose fixture picks the backend
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.differing_executors])
     def test_random_cells_bitwise(self, cells):
         # xi relative to the parent (left = f * p) or independent of it
         p = np.array([c[0] for c in cells])
         with np.errstate(over="ignore", invalid="ignore"):
             xi = np.array([c[0] * c[1] - c[0] * 0.5 if c[2] else c[1] for c in cells])
         assert_split_matches_reference(p, xi)
+
+
+@pytest.mark.usefixtures("numpy_backend")
+class TestSplitRepairNumpy(TestSplitRepair):
+    """The same cells on the numpy path."""
 
 
 class TestValueAt:

@@ -57,6 +57,9 @@ class TestBlockStream:
         assert stream.shape == (len(SEEDS), 2**level)
         blocks = list(stream)
         assert all(b.shape == (len(SEEDS), stream.width) for b in blocks)
+        if noise._lib is not None and stream.width > 1:
+            # step-major, so the lockstep kernel takes them without a copy
+            assert all(b.T.flags.c_contiguous for b in blocks)
         full = generate_matrix(SEEDS, 0.7, level)
         assert np.array_equal(bits(np.concatenate(blocks, axis=1)), bits(full))
 
@@ -87,6 +90,11 @@ class TestBlockStream:
             _BlockStream((), 1.0, 4)
         with pytest.raises(ValueError):
             _BlockStream(SEEDS, 1.0, 4, record_level=5)
+
+
+@pytest.mark.usefixtures("numpy_backend")
+class TestBlockStreamNumpy(TestBlockStream):
+    """The same streams on the numpy path."""
 
 
 def assert_same_ensemble(a, b):
