@@ -8,12 +8,3 @@ def numpy_backend(monkeypatch):
     """Run the noise on the numpy path, as without a C compiler."""
     monkeypatch.setattr(noise, "_lib", None)
 
-
-@pytest.fixture(params=["native", "numpy"])
-def backend(request, monkeypatch):
-    """Run a test on the compiled noise library and on the numpy path."""
-    if request.param == "numpy":
-        monkeypatch.setattr(noise, "_lib", None)
-    elif noise._lib is None:
-        pytest.skip("the native noise library is not built (see test_native_backend_loads)")
-    return request.param

@@ -32,8 +32,14 @@ def philox_words(key, stream, count):
     return np.random.Philox(key=np.array([key, stream], dtype=np.uint64)).random_raw(count)
 
 
+def needs_native():
+    if noise._lib is None:
+        pytest.skip("the native noise library is not built (see test_native_backend_loads)")
+
+
 @pytest.mark.parametrize("stream", range(25))
-def test_uniforms_are_philox_words_by_the_documented_rule(backend, stream):
+def test_uniforms_are_philox_words_by_the_documented_rule(stream):
+    needs_native()
     for offset in range(10):
         words = np.stack([philox_words(k, stream, offset + 1000) for k in KEYS])
         want = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
@@ -53,8 +59,7 @@ def draws(seeds):
 
 
 def test_backends_agree_bitwise(monkeypatch):
-    if noise._lib is None:
-        pytest.skip("the native noise library is not built")
+    needs_native()
     seeds = [path_seed(17, i) for i in range(20)]
     monkeypatch.setattr(noise, "_BLOCK_CELLS", 20 * 128)
     native = draws(seeds)
