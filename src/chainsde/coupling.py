@@ -189,8 +189,8 @@ def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
     hi = max(cfg_a.level, cfg_b.level)
     lo = min(cfg_a.level, cfg_b.level)
     full = max_trace_points is None
-    # powers of two keep alignment
-    rec = 1 if full else max(1, 2**lo // (max_trace_points - 1))
+    # the smallest power of two with 2^lo / rec <= max_trace_points - 1
+    rec = 1 if full else 1 << max(0, lo + 1 - (max_trace_points - 1).bit_length())
     grid_a = rec * 2 ** (cfg_a.level - lo)
     grid_b = rec * 2 ** (cfg_b.level - lo)
     m = len(seeds)

@@ -20,8 +20,11 @@ the noise is switched off, and with `continue_after_stop` the drift
 continues to the horizon (the truncated system); otherwise the
 trajectory is cut at the stop point.
 
-Ensembles integrate in lockstep as numpy row vectors, one row per path;
-they check stops and write records once per sub-block of steps (up to
+`integrate_block` owns a solve's result (the records, the t = 0 row,
+the stop codes and indices, the horizon code and the time grid); a
+kernel only steps, writing into the arrays it is handed.  Ensembles
+integrate in lockstep as numpy row vectors, one row per path; they
+check stops and write records once per sub-block of steps (up to
 `_SUB`), not once per step.  Single-path solves run a scalar loop.  Both
 kernels evaluate the one `core` definition of the coefficient and the
 scheme update (written with plain operators and numpy ufuncs, so one
@@ -285,13 +288,10 @@ def _stop_codes(linf, eps, inner, outer):
     return np.where(linf <= eps, np.int8(StopReason.ORIGIN_HIT), code)
 
 
-def _blocks(increments):
-    """The (paths, w) time blocks of a block stream; a matrix is one block."""
-    return (increments,) if isinstance(increments, np.ndarray) else increments
-
-
-def _integrate_vector(params, cfg, increments, init, stride, h):
-    """Lockstep kernel over (paths, steps) increments, a matrix or a block stream.
+def _integrate_vector(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
+    """Lockstep kernel: step the paths of `rec` from its t = 0 row over the
+    (paths, w) time `blocks`, writing the records, stop codes and stop
+    indices in place.
 
     Each step evaluates the core coefficient and scheme update on rows,
     one entry per path; stopped paths are masked out only once a stop
@@ -307,16 +307,12 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
     the same step.  Blocks are consumed in time order; the state,
     anchors, stops and record index carry over.
     """
-    M, n_steps = increments.shape
-    d = init.shape[1]
+    M, _, d = rec.shape
+    init = rec[:, 0]
     alpha = params.alpha
     eps, inner, outer = cfg.origin_tolerance, cfg.inner_level, cfg.outer_level
     drift_exact = cfg.scheme is Scheme.DRIFT_EXACT_EM
-    n_rec = n_steps // stride
 
-    rec = np.empty((M, n_rec + 1, d), dtype=np.float64)
-    stop_code = np.zeros(M, dtype=np.int8)
-    stop_idx = np.full(M, n_steps, dtype=np.int64)
     # one sub-block of states, stacked (row, coordinate, path)
     stacked = np.empty((_SUB, d, M), dtype=np.float64)
 
@@ -387,10 +383,9 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
     k = 0
     sub = _SUB
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        rec[:, 0] = init
         stacked[0] = init.T
         stops(stacked[:1], 0)
-        for block in _blocks(increments):
+        for block in blocks:
             # the hot loop reads one step's row at a time: stream blocks
             # arrive step-major and pass through, a matrix is copied
             inc_t = np.ascontiguousarray(block.T)
@@ -439,77 +434,56 @@ def _integrate_vector(params, cfg, increments, init, stride, h):
             # a row view would keep this block alive while the next is drawn
             del inc_t, dB
 
-    stop_code = np.where(stop_code == 0, np.int8(StopReason.HORIZON_REACHED), stop_code)
-    times = h * np.arange(0, n_steps + 1, stride, dtype=np.float64)
-    return times, rec, stop_code, stop_idx
 
-
-def _integrate_scalar(params, cfg, increments, init, stride, h):
-    """Single-path kernel with scalar arithmetic.
+def _integrate_scalar(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
+    """Single-path kernel with scalar arithmetic, with the arguments of
+    `_integrate_vector`.
 
     It evaluates the same core coefficient and scheme update as
     _integrate_vector and classifies stops with the same `_stop_codes`,
     so the result is bitwise identical to the corresponding lockstep row.
     """
-    n_steps = increments.shape[1]
-    d = len(init[0])
     alpha = params.alpha
     eps, inner, outer = cfg.origin_tolerance, cfg.inner_level, cfg.outer_level
     drift_exact = cfg.scheme is Scheme.DRIFT_EXACT_EM
-    n_rec = n_steps // stride
 
-    rec = np.empty((1, n_rec + 1, d), dtype=np.float64)
-    stop_code = 0
-    stop_idx = n_steps
-
-    s = tuple(float(c) for c in init[0])
+    s = tuple(float(c) for c in rec[0, 0])
     ax, ay, at = s[0], s[1], 0.0
     evolving = True
-    noisy = True
+    active = True  # not stopped yet, so the noise is on
 
     def stops(idx):
         """Record a stop of the still-active path."""
-        nonlocal stop_code, stop_idx, evolving, noisy
+        nonlocal evolving, active
         # Band pre-check.  max() skips a NaN after the first coordinate, but
         # from a finite state only x (two additions) can turn NaN.
         if inner < max(map(abs, s)) < outer:
             return
-        stop_code = int(_stop_codes(_linf(s), eps, inner, outer))
-        stop_idx = idx
-        noisy = False
-        if not cfg.continue_after_stop or stop_code == StopReason.BLOWUP:
+        stop_code[0] = code = _stop_codes(_linf(s), eps, inner, outer)
+        stop_idx[0] = idx
+        active = False
+        if not cfg.continue_after_stop or code == StopReason.BLOWUP:
             evolving = False
 
     k = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         stops(0)
-        rec[0, 0] = s
-        for block in _blocks(increments):
+        for block in blocks:
             for dB in block[0]:
                 t_next = (k + 1) * h
                 if evolving:
-                    dlast = float(_abs_pow(s[0], alpha)) * dB if noisy else 0.0
+                    dlast = float(_abs_pow(s[0], alpha)) * dB if active else 0.0
                     if drift_exact:
                         s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
                         if dlast != 0.0:
                             ax, ay, at = s[0], s[1], t_next
                     else:
                         s = _advance(s, h, dlast, False)
-                    if stop_code == 0:
+                    if active:
                         stops(k + 1)
                 if (k + 1) % stride == 0:
                     rec[0, (k + 1) // stride] = s
                 k += 1
-
-    if stop_code == 0:
-        stop_code = int(StopReason.HORIZON_REACHED)
-    times = h * np.arange(0, n_steps + 1, stride, dtype=np.float64)
-    return (
-        times,
-        rec,
-        np.array([stop_code], dtype=np.int8),
-        np.array([stop_idx], dtype=np.int64),
-    )
 
 
 def integrate_block(
@@ -524,9 +498,11 @@ def integrate_block(
 ) -> EnsembleResult:
     """Lockstep-integrate a block of paths over shared grid increments.
 
-    increments is a (paths, steps) matrix, or a noise block stream of that
-    shape, which is walked one time block at a time and never built
-    whole; the memory budget counts one block plus the records.
+    increments is a (paths, steps) matrix, one time block, or a noise
+    block stream of that shape, which is walked one time block at a time
+    and never built whole; the memory budget counts one block plus the
+    records.  The result is allocated and finished here; the kernel
+    (scalar for one path, lockstep otherwise) only steps.
     initial_coords (paths, dim) overrides params.initial per path (used
     by jitter experiments).  grid_step defaults to cfg.grid_step and only
     differs when the increments come from a path whose horizon exceeds
@@ -564,13 +540,19 @@ def integrate_block(
     if not h > 0.0:
         raise ValueError(f"grid_step must be > 0, got {h}")
 
+    rec = np.empty((M, n_steps // record_stride + 1, d), dtype=np.float64)
+    rec[:, 0] = initial_coords
+    stop_code = np.zeros(M, dtype=np.int8)
+    stop_idx = np.full(M, n_steps, dtype=np.int64)
+    blocks = (increments,) if isinstance(increments, np.ndarray) else increments
     kernel = _integrate_scalar if M == 1 else _integrate_vector
-    times, rec, codes, idxs = kernel(params, cfg, increments, initial_coords, record_stride, h)
+    kernel(params, cfg, blocks, h, record_stride, rec, stop_code, stop_idx)
+    stop_code[stop_code == 0] = StopReason.HORIZON_REACHED
     return EnsembleResult(
-        times=times,
+        times=h * np.arange(0, n_steps + 1, record_stride, dtype=np.float64),
         coords=rec,
-        stop_reasons=codes,
-        stop_indices=idxs,
+        stop_reasons=stop_code,
+        stop_indices=stop_idx,
         record_stride=record_stride,
         step=h,
         config=cfg,

@@ -92,9 +92,9 @@ def _build_native(cache: Path) -> Path:
     The file name hashes the source, the compiler command and flags and
     the platform, so a library built from other inputs is never loaded.
     The compiler writes a temporary file that is then renamed into
-    place, so concurrent builds leave one whole library.  Raises OSError
-    when no compiler is configured or runs, SubprocessError when the
-    build fails.
+    place, so concurrent builds leave one whole library; a new build
+    removes the other `_noise-*.so` in `cache`.  Raises OSError when no
+    compiler is configured or runs, SubprocessError when the build fails.
     """
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc:
@@ -111,6 +111,9 @@ def _build_native(cache: Path) -> Path:
             os.replace(tmp, lib)
         finally:
             tmp.unlink(missing_ok=True)
+        for stale in cache.glob("_noise-*.so"):
+            if stale != lib:
+                stale.unlink(missing_ok=True)
     return lib
 
 
@@ -516,10 +519,9 @@ def at_level(path: BrownianPath, level: int) -> BrownianPath:
     if level < path.level:
         return coarsen(path, level)
     _check_level(level)
-    out = path
-    while out.level < level:
-        out = refine(out)
-    return out
+    inc = _refine_rows(path.increments[None, :], (path.seed,), path.horizon, path.level, 0,
+                       level - path.level)
+    return BrownianPath(path.seed, path.horizon, level, inc[0])
 
 
 def value_at(path: BrownianPath, t: float) -> float:

@@ -56,7 +56,6 @@ from .analysis import (
 from .config import ExperimentConfig
 from .core import ChainState, SystemParams
 from .coupling import (
-    CoupledRun,
     InitJitter,
     Perturbation,
     ResolutionSplit,
@@ -231,23 +230,10 @@ def _write_csv(path: Path, header, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    return value
-
-
 def _write_summary(path: Path, payload: dict) -> None:
+    # numpy scalars and arrays become Python ones (np.float64 is a float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_safe(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -409,19 +395,16 @@ def _bounds(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
 
 def _couple_task(arg):
     config, seeds = arg
-    runs = coupled_ensemble(
+    return coupled_ensemble(
         _system_params(config), seeds, parse_perturbation(config.perturbation),
         _solve_config(config),
     )
-    return [(run.path_seed, run.divergence) for run in runs]
 
 
 def _couple(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     params = _system_params(config)
     pert = parse_perturbation(config.perturbation)
-    runs = [
-        CoupledRun(seed, pert, div) for part in over_chunks(_couple_task) for seed, div in part
-    ]
+    runs = [run for part in over_chunks(_couple_task) for run in part]
     trace = estimate_divergence(runs)
 
     columns = [trace.times, trace.D, trace.D_abs, trace.stderr, trace.counts]

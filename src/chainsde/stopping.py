@@ -82,13 +82,10 @@ class StoppingBand:
     """Radii and deterministic windows of the level-n band."""
 
     n: int
-    tprime0n: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"band level must be >= 1, got {self.n}")
-        if self.tprime0n is not None and not self.tprime0n > 0.0:
-            raise ValueError(f"tprime0n must be > 0, got {self.tprime0n}")
 
     @property
     def inner(self) -> float:
@@ -102,25 +99,14 @@ class StoppingBand:
     def t0n(self) -> float:
         return 0.5 * 2.0 ** (-2 * self.n)
 
-    @classmethod
-    def for_initial(cls, initial: ChainState, n: int) -> "StoppingBand":
-        """Band with the case-II window filled in when it applies."""
-        label = classify(initial, n)
-        tprime = None
-        if label.kind is CaseKind.CASE_II:
-            tprime = abs(initial.y) * 2.0 ** -(n + 1)
-        return cls(n, tprime)
-
 
 def classify(initial: ChainState, n: int) -> CaseLabel:
     """Case of an excursion start (x0 = 0, outside the inner radius)."""
-    if n < 1:
-        raise ValueError(f"band level must be >= 1, got {n}")
+    inner = StoppingBand(n).inner
     if initial.dim != 3:
         raise ValueError("case analysis is defined for chain order 3 only")
     if initial.x != 0.0:
         raise ValueError(f"an excursion starts at x = 0, got x = {initial.x}")
-    inner = 2.0**-n
     if linf_norm(initial) <= inner:
         raise ValueError(
             f"initial state is inside the inner band: |.|_inf = {linf_norm(initial)} <= {inner}"
@@ -158,10 +144,8 @@ def detect_Tn(traj: Trajectory, n: int) -> float | None:
     z0 < 0, the first with z >= -2^-n / 2.  None if it never happens
     within the stored trajectory.
     """
-    if n < 1:
-        raise ValueError(f"band level must be >= 1, got {n}")
+    level = 0.5 * StoppingBand(n).inner
     z = traj.z
-    level = 0.5 * 2.0**-n
     hits = z <= level if z[0] > 0.0 else z >= -level
     if not hits.any():
         return None

@@ -83,11 +83,14 @@ class TestCoupledEnsemble:
             assert np.array_equal(run.divergence, single.divergence)
 
     def test_trace_point_cap(self):
-        cfg = SolveConfig(level=12, band_n=6, max_time=1.0)
+        # (max_trace_points, level) -> points: the finest power-of-two
+        # decimation of the grid within the cap
         seeds = [path_seed(13, i) for i in range(3)]
-        runs = coupled_ensemble(PAR, seeds, InitJitter(1e-4), cfg, max_trace_points=257)
-        assert all(run.times.size <= 257 for run in runs)
-        assert all(run.times[-1] == 1.0 for run in runs)
+        for cap, level, points in [(257, 12, 257), (4, 8, 3), (100, 8, 65), (1025, 12, 1025)]:
+            cfg = SolveConfig(level=level, band_n=6, max_time=1.0)
+            runs = coupled_ensemble(PAR, seeds, InitJitter(1e-4), cfg, max_trace_points=cap)
+            assert all(run.times.size == points for run in runs)
+            assert all(run.times[-1] == 1.0 for run in runs)
 
     def test_censoring_at_band_stop(self):
         par = params_at((0.0, 0.6, 0.0))

@@ -89,6 +89,17 @@ def test_concurrent_builds_leave_one_library(tmp_path):
     assert lib.philox_uniforms and lib.split_increments
 
 
+def test_new_build_removes_stale_libraries(tmp_path):
+    if not compiler():
+        pytest.skip("no C compiler on PATH")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "_noise-0000000000000000.so").write_bytes(b"stale")
+    (cache / "other.so").write_bytes(b"kept")
+    lib = noise._build_native(cache)
+    assert sorted(f.name for f in cache.iterdir()) == sorted([lib.name, "other.so"])
+
+
 _CASES = {
     "simulate": ["simulate", "--level", "6", "--ensemble", "300", "--band-n", "6"],
     "couple": ["couple", "--perturbation", "resolution:6,9", "--level", "6", "--ensemble", "300",

@@ -88,6 +88,9 @@ class TestRefine:
             p = refine(generate(77, 2.0, level))
             q = generate(77, 2.0, level + 1)
             assert np.array_equal(p.increments, q.increments)
+        # several levels at once
+        p = at_level(generate(77, 2.0, 3), 9)
+        assert np.array_equal(p.increments, generate(77, 2.0, 9).increments)
 
     def test_refine_deterministic(self):
         p = generate(8, 1.0, 6)

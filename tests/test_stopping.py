@@ -31,12 +31,6 @@ class TestBandArithmetic:
         # sanity only: the window never approaches the coarse cap of 2
         assert all(StoppingBand(n).t0n <= 0.125 < 2.0 for n in range(1, 21))
 
-    def test_case_ii_band_factory(self):
-        b = StoppingBand.for_initial(state(1.0, -0.75), 1)
-        assert b.tprime0n == 0.25
-        b2 = StoppingBand.for_initial(state(1.0, 0.0), 1)
-        assert b2.tprime0n is None
-
 
 class TestClassify:
     def test_case_i(self):

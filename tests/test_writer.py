@@ -116,3 +116,19 @@ def test_repeated_columns_match_their_arrays(tmp_path, monkeypatch, block):
     path = tmp_path / "trace.csv"
     runner._write_csv(path, header, columns)
     assert path.read_bytes() == reference_csv(header, arrays).encode("utf-8")
+
+
+def test_summary_numpy_values_match_plain_python(tmp_path):
+    # numpy scalars and arrays in summary.json are written as their Python twins
+    numpy_payload = {
+        "int": np.int64(-7), "float": np.float64(0.1), "third": np.float64(1.0 / 3.0),
+        "flag": np.bool_(True), "array": np.array([[1.5, -0.0], [5e-324, 2.0]]),
+        "tuple": (np.int64(3), np.float64(1e16)), "nested": {"b": np.arange(3)},
+    }
+    plain_payload = {
+        "int": -7, "float": 0.1, "third": 1.0 / 3.0, "flag": True,
+        "array": [[1.5, -0.0], [5e-324, 2.0]], "tuple": [3, 1e16], "nested": {"b": [0, 1, 2]},
+    }
+    runner._write_summary(tmp_path / "numpy.json", numpy_payload)
+    runner._write_summary(tmp_path / "plain.json", plain_payload)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
