@@ -12,7 +12,7 @@ diffusion coefficient |x|^alpha, the mean-value upper bound used in
 divergence estimates, and the exact flow of the drift subsystem with the
 last coordinate frozen.  The coefficient and the one-step scheme update
 are defined here once (`_abs_pow`, `_advance`) for floats and numpy rows
-alike; the public functions and both integration kernels evaluate them.
+alike; the public functions and the kernel's two step bodies evaluate them.
 All arithmetic is 64-bit binary floating point.
 """
 
@@ -112,7 +112,7 @@ def _abs_pow(x, alpha):
     """|x|^alpha as exp(alpha * ln|x|), for a float or a numpy row.
 
     This is the one evaluation of the coefficient: the public
-    `diffusion_coeff` and both integration kernels call it.  ln 0 = -inf
+    `diffusion_coeff` and the kernel's two step bodies call it.  ln 0 = -inf
     gives exactly 0.0 at the origin; callers evaluate it under
     np.errstate(divide="ignore").
     """
@@ -151,8 +151,8 @@ def _advance(coords, h, dlast, exact):
     exact flow (x + h y + (h^2/2) z, y + h z); otherwise forward Euler
     (x + h y, y + h z).  At chain order 2 both read (x + h y, y + dlast).
     The coordinates are floats or numpy rows (one entry per path): this
-    one source is the arithmetic of `step`, `drift_flow` and both
-    integration kernels, so they round alike.
+    one source is the arithmetic of `step`, `drift_flow` and the
+    kernel's two step bodies, so they round alike.
     """
     if len(coords) == 2:
         x, y = coords

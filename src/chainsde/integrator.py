@@ -21,16 +21,16 @@ continues to the horizon (the truncated system); otherwise the
 trajectory is cut at the stop point.
 
 `integrate_block` owns a solve's result (the records, the t = 0 row,
-the stop codes and indices, the horizon code and the time grid); a
-kernel only steps, writing into the arrays it is handed.  Ensembles
-integrate in lockstep as numpy row vectors, one row per path; they
-check stops and write records once per sub-block of steps (up to
-`_SUB`), not once per step.  Single-path solves run a scalar loop.  Both
-kernels evaluate the one `core` definition of the coefficient and the
-scheme update (written with plain operators and numpy ufuncs, so one
-source serves floats and rows) and classify stops with the one
-`_stop_codes`, so they produce bitwise-identical trajectories for the
-same seed, as does iterating `step` where the grid times are exact.
+the stop codes and indices, the horizon code and the time grid); the
+one kernel, `_integrate`, only steps, writing into the arrays it is
+handed.  It advances all paths in lockstep and checks stops and writes
+records once per sub-block of steps (up to `_SUB`).  Only its step body
+depends on the path count: numpy rows, one entry per path, or Python
+floats for a single path.  Both evaluate the one `core` definition of
+the coefficient and the scheme update (plain operators and numpy
+ufuncs, so one source serves floats and rows); the stop rule and the
+record writes are shared.  So a path solved alone is bitwise its
+ensemble row, as is iterating `step` where the grid times are exact.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ __all__ = [
 # records), bytes.
 _BLOCK_BUDGET = 1_600_000_000
 
-# Steps the lockstep kernel advances between two stop checks and record
+# Steps the kernel advances between two stop checks and record
 # writes (the longest sub-block).
 _SUB = 32
 
@@ -155,8 +155,9 @@ class Trajectory:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.coords.shape != (self.times.size, self.coords.shape[1]):
-            raise ValueError("coords must have one row per time")
+        shape = self.coords.shape
+        if len(shape) != 2 or shape[0] != self.times.size or shape[1] not in (2, 3):
+            raise ValueError("coords must have one row of 2 or 3 coordinates per time")
         if self.stop is StopReason.NONE:
             raise ValueError("a finished trajectory needs a terminal stop reason")
 
@@ -288,26 +289,27 @@ def _stop_codes(linf, eps, inner, outer):
     return np.where(linf <= eps, np.int8(StopReason.ORIGIN_HIT), code)
 
 
-def _integrate_vector(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
-    """Lockstep kernel: step the paths of `rec` from its t = 0 row over the
-    (paths, w) time `blocks`, writing the records, stop codes and stop
-    indices in place.
+def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
+    """The integration kernel: step the paths of `rec` from its t = 0 row
+    over the (paths, w) time `blocks`, writing the records, stop codes and
+    stop indices in place.
 
-    Each step evaluates the core coefficient and scheme update on rows,
-    one entry per path; stopped paths are masked out only once a stop
-    has happened.  The steps run in sub-blocks of up to `_SUB` with no
-    stop check in between, keeping each step's state and anchors by
-    reference (no state or anchor array is written in place).  A
-    sub-block's states are then stacked into one buffer, classified at
-    once (`stops`) and written to the records.  Where a path stopped and
-    evolves on, the rows after its stop were stepped with its noise on:
-    the kernel resumes from the saved state of that row, and the next
-    sub-block is half as long, doubling back after clean ones.  The
-    anchor time is one float while every evolving path's anchor moved at
-    the same step.  Blocks are consumed in time order; the state,
-    anchors, stops and record index carry over.
+    Each step evaluates the core coefficient and scheme update, on numpy
+    rows (one entry per path; stopped paths are masked out only once a
+    stop has happened) or, for a single path, on Python floats.  The steps
+    run in sub-blocks of up to `_SUB` with no stop check in between,
+    keeping each step's state and anchors by reference (no state or anchor
+    array is written in place).  A sub-block's states are then stacked
+    into one buffer, classified at once (`stops`) and written to the
+    records.  Where a path stopped and evolves on, the rows after its stop
+    were stepped with its noise on: the kernel resumes from the saved
+    state of that row, and the next sub-block is half as long, doubling
+    back after clean ones.  The anchor time is one float while every
+    evolving path's anchor moved at the same step.  Blocks are consumed in
+    time order; the state, anchors, stops and record index carry over.
     """
     M, _, d = rec.shape
+    one = M == 1
     init = rec[:, 0]
     alpha = params.alpha
     eps, inner, outer = cfg.origin_tolerance, cfg.inner_level, cfg.outer_level
@@ -316,7 +318,7 @@ def _integrate_vector(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
     # one sub-block of states, stacked (row, coordinate, path)
     stacked = np.empty((_SUB, d, M), dtype=np.float64)
 
-    s = tuple(init[:, j].copy() for j in range(d))
+    s = tuple(init[0].tolist()) if one else tuple(init[:, j].copy() for j in range(d))
     # anchors for the drift-exact scheme; z anchors itself
     ax, ay, at = s[0], s[1], 0.0
 
@@ -394,37 +396,55 @@ def _integrate_vector(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
             while i < inc_t.shape[0]:
                 n = min(sub, inc_t.shape[0] - i)
                 states, anchors = [], []
-                for j, dB in enumerate(inc_t[i : i + n], start=k + 1):
-                    t_next = j * h
-                    dlast = _abs_pow(s[0], alpha) * dB
-                    if not all_noisy:
-                        np.copyto(dlast, 0.0, where=quiet)
-                    if drift_exact:
-                        new = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
-                    else:
-                        new = _advance(s, h, dlast, False)
-                    if n_evolving == M:
-                        s = new
-                    else:
-                        s = tuple(np.where(evolving, a, b) for a, b in zip(new, s))
-                    if drift_exact:
-                        # A path's anchor moves with its noise.  A frozen
-                        # path has its noise off, and its anchor is never
-                        # used again (its update is discarded by the where).
-                        moved = np.count_nonzero(dlast)
-                        if moved == n_evolving:
-                            ax, ay, at = s[0], s[1], t_next
-                        elif moved:
-                            m = dlast != 0.0
-                            ax, ay = np.where(m, s[0], ax), np.where(m, s[1], ay)
-                            at = np.where(m, t_next, at)
-                    states.extend(s)
-                    anchors.append((ax, ay, at))
-                np.concatenate(states, out=stacked[:n].reshape(-1))
+                if one:
+                    # the same step on floats; the path's noise and motion
+                    # change only in `stops`
+                    noisy, moving = not quiet[0], n_evolving == 1
+                    for j, dB in enumerate(inc_t[i : i + n, 0].tolist(), start=k + 1):
+                        if moving:
+                            t_next = j * h
+                            dlast = float(_abs_pow(s[0], alpha)) * dB if noisy else 0.0
+                            if drift_exact:
+                                s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
+                                if dlast != 0.0:
+                                    ax, ay, at = s[0], s[1], t_next
+                            else:
+                                s = _advance(s, h, dlast, False)
+                        states.extend(s)
+                        anchors.append((ax, ay, at))
+                    stacked[:n].reshape(-1)[:] = states
+                else:
+                    for j, dB in enumerate(inc_t[i : i + n], start=k + 1):
+                        t_next = j * h
+                        dlast = _abs_pow(s[0], alpha) * dB
+                        if not all_noisy:
+                            np.copyto(dlast, 0.0, where=quiet)
+                        if drift_exact:
+                            new = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
+                        else:
+                            new = _advance(s, h, dlast, False)
+                        if n_evolving == M:
+                            s = new
+                        else:
+                            s = tuple(np.where(evolving, a, b) for a, b in zip(new, s))
+                        if drift_exact:
+                            # A path's anchor moves with its noise.  A frozen
+                            # path has its noise off, and its anchor is never
+                            # used again (its update is discarded by the where).
+                            moved = np.count_nonzero(dlast)
+                            if moved == n_evolving:
+                                ax, ay, at = s[0], s[1], t_next
+                            elif moved:
+                                m = dlast != 0.0
+                                ax, ay = np.where(m, s[0], ax), np.where(m, s[1], ay)
+                                at = np.where(m, t_next, at)
+                        states.extend(s)
+                        anchors.append((ax, ay, at))
+                    np.concatenate(states, out=stacked[:n].reshape(-1))
                 last = stops(stacked[:n], k + 1)
                 record(k, last + 1)
                 # the stacked row holds the state with any frozen stop applied
-                s = tuple(stacked[last].copy())
+                s = tuple(stacked[last, :, 0].tolist()) if one else tuple(stacked[last].copy())
                 ax, ay, at = anchors[last]
                 del states, anchors
                 # rows past `last` were stepped with stale masks: shrink
@@ -433,57 +453,6 @@ def _integrate_vector(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
                 i += last + 1
             # a row view would keep this block alive while the next is drawn
             del inc_t, dB
-
-
-def _integrate_scalar(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
-    """Single-path kernel with scalar arithmetic, with the arguments of
-    `_integrate_vector`.
-
-    It evaluates the same core coefficient and scheme update as
-    _integrate_vector and classifies stops with the same `_stop_codes`,
-    so the result is bitwise identical to the corresponding lockstep row.
-    """
-    alpha = params.alpha
-    eps, inner, outer = cfg.origin_tolerance, cfg.inner_level, cfg.outer_level
-    drift_exact = cfg.scheme is Scheme.DRIFT_EXACT_EM
-
-    s = tuple(float(c) for c in rec[0, 0])
-    ax, ay, at = s[0], s[1], 0.0
-    evolving = True
-    active = True  # not stopped yet, so the noise is on
-
-    def stops(idx):
-        """Record a stop of the still-active path."""
-        nonlocal evolving, active
-        # Band pre-check.  max() skips a NaN after the first coordinate, but
-        # from a finite state only x (two additions) can turn NaN.
-        if inner < max(map(abs, s)) < outer:
-            return
-        stop_code[0] = code = _stop_codes(_linf(s), eps, inner, outer)
-        stop_idx[0] = idx
-        active = False
-        if not cfg.continue_after_stop or code == StopReason.BLOWUP:
-            evolving = False
-
-    k = 0
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        stops(0)
-        for block in blocks:
-            for dB in block[0]:
-                t_next = (k + 1) * h
-                if evolving:
-                    dlast = float(_abs_pow(s[0], alpha)) * dB if active else 0.0
-                    if drift_exact:
-                        s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
-                        if dlast != 0.0:
-                            ax, ay, at = s[0], s[1], t_next
-                    else:
-                        s = _advance(s, h, dlast, False)
-                    if active:
-                        stops(k + 1)
-                if (k + 1) % stride == 0:
-                    rec[0, (k + 1) // stride] = s
-                k += 1
 
 
 def integrate_block(
@@ -501,8 +470,8 @@ def integrate_block(
     increments is a (paths, steps) matrix, one time block, or a noise
     block stream of that shape, which is walked one time block at a time
     and never built whole; the memory budget counts one block plus the
-    records.  The result is allocated and finished here; the kernel
-    (scalar for one path, lockstep otherwise) only steps.
+    records.  The result is allocated and finished here; the one kernel
+    only steps, on floats for a single path and on rows otherwise.
     initial_coords (paths, dim) overrides params.initial per path (used
     by jitter experiments).  grid_step defaults to cfg.grid_step and only
     differs when the increments come from a path whose horizon exceeds
@@ -545,8 +514,7 @@ def integrate_block(
     stop_code = np.zeros(M, dtype=np.int8)
     stop_idx = np.full(M, n_steps, dtype=np.int64)
     blocks = (increments,) if isinstance(increments, np.ndarray) else increments
-    kernel = _integrate_scalar if M == 1 else _integrate_vector
-    kernel(params, cfg, blocks, h, record_stride, rec, stop_code, stop_idx)
+    _integrate(params, cfg, blocks, h, record_stride, rec, stop_code, stop_idx)
     stop_code[stop_code == 0] = StopReason.HORIZON_REACHED
     return EnsembleResult(
         times=h * np.arange(0, n_steps + 1, record_stride, dtype=np.float64),

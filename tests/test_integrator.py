@@ -10,6 +10,7 @@ from chainsde.integrator import (
     Scheme,
     SolveConfig,
     StopReason,
+    Trajectory,
     integrate_block,
     linf_norm,
     solve,
@@ -220,7 +221,7 @@ class TestScalarVectorConsistency:
 
 
 class TestSharedArithmetic:
-    """The public step, drift_flow and diffusion_coeff round as the kernels do."""
+    """The public step, drift_flow and diffusion_coeff round as the kernel does."""
 
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
     @pytest.mark.parametrize("order", [3, 2])
@@ -359,6 +360,21 @@ class TestEnsembleApi:
         with pytest.raises(ValueError):
             integrate_block(par, cfg, np.zeros((2, 8)), initial_coords=np.zeros((3, 3)))
 
+    def test_trajectory_validation(self):
+        times = np.linspace(0.0, 1.0, 5)
+        Trajectory(times, np.zeros((5, 2)), StopReason.HORIZON_REACHED, 1.0, 4)
+        bad = [
+            np.zeros(5),  # 1-D
+            np.zeros((4, 3)),  # one row short
+            np.zeros((5, 1)),  # one column
+            np.zeros((5, 4)),  # four columns
+        ]
+        for coords in bad:
+            with pytest.raises(ValueError, match="2 or 3 coordinates"):
+                Trajectory(times, coords, StopReason.HORIZON_REACHED, 1.0, 4)
+        with pytest.raises(ValueError, match="terminal stop"):
+            Trajectory(times, np.zeros((5, 3)), StopReason.NONE, 1.0, 4)
+
 
 _H = 2.0**-8  # grid step of the sub-block cases: T = 1, level 8
 
@@ -374,7 +390,8 @@ def _inner_at(k):
 
 
 def _rows_match_scalar(par, cfg, inc, init, stride=1):
-    """The lockstep result of every row is bitwise the scalar kernel's."""
+    """Every row of the ensemble result is bitwise that row solved alone,
+    which the kernel steps on floats."""
     ens = integrate_block(par, cfg, inc, initial_coords=init, record_stride=stride)
     for i in range(inc.shape[0]):
         one = integrate_block(par, cfg, inc[i : i + 1], initial_coords=init[i : i + 1],

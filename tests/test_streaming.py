@@ -12,7 +12,7 @@ import pytest
 from chainsde import noise
 from chainsde.core import ChainState, SystemParams
 from chainsde.coupling import InitJitter, ResolutionSplit, SchemeSplit, coupled_ensemble
-from chainsde.integrator import SolveConfig, integrate_block, solve_ensemble
+from chainsde.integrator import SolveConfig, StopReason, integrate_block, solve_ensemble
 from chainsde.noise import (
     _BlockStream,
     _fresh_philox,
@@ -120,11 +120,23 @@ class TestWidthIndependence:
             assert_same_ensemble(default, solve_ensemble(par, cfg, seeds, record_stride=stride))
 
     def test_single_path_solve(self, monkeypatch):
-        par = params_at((0.0, 1.0, 0.0))
-        cfg = SolveConfig(level=8, band_n=6, max_time=1.0)
-        default = solve_ensemble(par, cfg, [SEEDS[0]])
-        set_width(monkeypatch, 1, 8)
-        assert_same_ensemble(default, solve_ensemble(par, cfg, [SEEDS[0]]))
+        cases = [
+            (params_at((0.0, 1.0, 0.0)), SolveConfig(level=8, band_n=6, max_time=1.0), 1, (8,)),
+            # an outer band stop at step 198, then the drift runs on noiselessly
+            (params_at((0.0, 2.0, 0.0)),
+             SolveConfig(level=8, band_n=2, max_time=4.0, continue_after_stop=True), 16,
+             (1, 4, 32)),
+        ]
+        for par, cfg, stride, widths in cases:
+            monkeypatch.undo()
+            default = solve_ensemble(par, cfg, [SEEDS[0]], record_stride=stride)
+            for width in widths:
+                set_width(monkeypatch, 1, width)
+                assert_same_ensemble(
+                    default, solve_ensemble(par, cfg, [SEEDS[0]], record_stride=stride)
+                )
+        assert default.stop_reason(0) is StopReason.OUTER_BAND
+        assert 0 < default.stop_indices[0] < 2**8
 
     @pytest.mark.parametrize(
         "pert, zero_noise",
