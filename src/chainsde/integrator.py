@@ -18,13 +18,18 @@ of a violation is the recorded stop time, a resolution-dependent
 approximation of the continuous first-hitting time.  After a band stop
 the noise is switched off, and with `continue_after_stop` the drift
 continues to the horizon (the truncated system); otherwise the
-trajectory is cut at the stop point.
+trajectory is cut at the stop point.  Such a *held* path (any stop
+without `continue_after_stop`, and every blowup) needs no per-step mask:
+it steps on without noise, its records after the stop are set to its
+stop state when the solve ends, and a solve whose paths are all held
+stops stepping.
 
 `integrate_block` owns a solve's result (the records, the t = 0 row,
 the stop codes and indices, the horizon code and the time grid); the
 one kernel, `_integrate`, only steps, writing into the arrays it is
 handed.  It advances all paths in lockstep and checks stops and writes
-records once per sub-block of steps (up to `_SUB`).  Only its step body
+records once per sub-block of `_SUB` steps (fewer only where a block of
+increments ends).  Only its step body
 depends on the path count: numpy rows, one entry per path, or Python
 floats for a single path.  Both evaluate the one `core` definition of
 the coefficient and the scheme update (plain operators and numpy
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +68,7 @@ __all__ = [
 _BLOCK_BUDGET = 1_600_000_000
 
 # Steps the kernel advances between two stop checks and record
-# writes (the longest sub-block).
+# writes (one sub-block).
 _SUB = 32
 
 
@@ -295,18 +300,21 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
     stop indices in place.
 
     Each step evaluates the core coefficient and scheme update, on numpy
-    rows (one entry per path; stopped paths are masked out only once a
-    stop has happened) or, for a single path, on Python floats.  The steps
-    run in sub-blocks of up to `_SUB` with no stop check in between,
-    keeping each step's state and anchors by reference (no state or anchor
-    array is written in place).  A sub-block's states are then stacked
-    into one buffer, classified at once (`stops`) and written to the
-    records.  Where a path stopped and evolves on, the rows after its stop
-    were stepped with its noise on: the kernel resumes from the saved
-    state of that row, and the next sub-block is half as long, doubling
-    back after clean ones.  The anchor time is one float while every
-    evolving path's anchor moved at the same step.  Blocks are consumed in
-    time order; the state, anchors, stops and record index carry over.
+    rows (one entry per path) or, for a single path, on Python floats.
+    The steps run in sub-blocks of `_SUB` (fewer only where a block ends)
+    with no stop check in between, keeping each step's state and anchors
+    by reference (no state or anchor array is written in place).  A
+    sub-block's states are then stacked into one buffer, classified at
+    once (`stops`) and written to the records.  A stopped path's noise is
+    zeroed.  A held path simply steps on; when the kernel ends, its saved
+    stop state is written over its later records.  Once every path is
+    held no more steps are taken, but the blocks are still consumed: a
+    stream may sum coarse increments as it is walked.  Where a path
+    stopped and evolves on, the rows after its stop were stepped with its
+    noise on, so the kernel resumes from that row.  The anchor time is one
+    float while every path not held moved at the same step.  Blocks are
+    consumed in time order; the state, anchors, stops and record index
+    carry over.
     """
     M, _, d = rec.shape
     one = M == 1
@@ -322,27 +330,25 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
     # anchors for the drift-exact scheme; z anchors itself
     ax, ay, at = s[0], s[1], 0.0
 
-    evolving = np.ones(M, dtype=bool)
     quiet = np.zeros(M, dtype=bool)  # paths whose noise is off: the stopped ones
-    any_active = all_noisy = True
-    n_evolving = M
+    all_noisy = True
+    held = []  # (path, stop index, stop state) of each held path
+    n_held = 0
 
     def stops(states, idx):
-        """Apply the stops among still-active paths in `states`, stacked
+        """Apply the stops among paths not yet stopped in `states`, stacked
         (row, coordinate, path) with row r at grid index idx + r.
 
         A path stops at its first row with a stop code, as it would step
         by step, since a stop changes only the stopped path's later steps.
-        The later rows of a frozen path are set to its stop row.  Returns
-        the last row still valid: the first row at which a path stops and
-        evolves on (a band stop under continue_after_stop), else the last
-        row.  Stops after that row are not applied: the rows after it are
-        stepped again.
+        A held path's stop state is saved in `held`; its later rows are
+        left as stepped.  Returns the last row still valid: the first row
+        at which a path stops and evolves on (a band stop under
+        continue_after_stop), else the last row.  Stops after that row are
+        not applied: the rows after it are stepped again.
         """
-        nonlocal any_active, all_noisy, n_evolving
+        nonlocal all_noisy, n_held
         last = states.shape[0] - 1
-        if not any_active:
-            return last
         linf = _linf(states.transpose(1, 0, 2))
         if not all_noisy:
             # a stopped path stops no more: 1 lies inside every band
@@ -354,23 +360,20 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
         paths = np.flatnonzero(code.any(axis=0))
         rows = (code[:, paths] != 0).argmax(axis=0)
         codes = code[rows, paths]
-        frozen = codes == np.int8(StopReason.BLOWUP)
+        hold = codes == np.int8(StopReason.BLOWUP)
         if not cfg.continue_after_stop:
-            frozen[:] = True
-        elif not frozen.all():
+            hold[:] = True
+        elif not hold.all():
             # a band-stopped path evolves on without noise
-            last = int(rows[~frozen].min())
+            last = int(rows[~hold].min())
             keep = rows <= last
-            paths, rows, codes, frozen = paths[keep], rows[keep], codes[keep], frozen[keep]
+            paths, rows, codes, hold = paths[keep], rows[keep], codes[keep], hold[keep]
         stop_code[paths] = codes
         stop_idx[paths] = idx + rows
         quiet[paths] = True
-        paths, rows = paths[frozen], rows[frozen]
-        evolving[paths] = False
-        for p, r in zip(paths.tolist(), rows.tolist()):
-            states[r + 1 : last + 1, :, p] = states[r, :, p]
-        any_active = bool((stop_code == 0).any())
-        n_evolving = int(np.count_nonzero(evolving))
+        for p, r in zip(paths[hold].tolist(), rows[hold].tolist()):
+            held.append((p, idx + r, states[r, :, p].copy()))
+        n_held = len(held)
         all_noisy = False
         return last
 
@@ -383,7 +386,6 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
             rec[:, r0 : r0 + rows.shape[0]] = rows.transpose(2, 0, 1)
 
     k = 0
-    sub = _SUB
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         stacked[0] = init.T
         stops(stacked[:1], 0)
@@ -393,23 +395,22 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
             inc_t = np.ascontiguousarray(block.T)
             del block
             i = 0
-            while i < inc_t.shape[0]:
-                n = min(sub, inc_t.shape[0] - i)
+            while i < inc_t.shape[0] and n_held < M:
+                n = min(_SUB, inc_t.shape[0] - i)
                 states, anchors = [], []
                 if one:
-                    # the same step on floats; the path's noise and motion
-                    # change only in `stops`
-                    noisy, moving = not quiet[0], n_evolving == 1
+                    # the same step on floats; the path's noise changes
+                    # only in `stops`
+                    noisy = not quiet[0]
                     for j, dB in enumerate(inc_t[i : i + n, 0].tolist(), start=k + 1):
-                        if moving:
-                            t_next = j * h
-                            dlast = float(_abs_pow(s[0], alpha)) * dB if noisy else 0.0
-                            if drift_exact:
-                                s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
-                                if dlast != 0.0:
-                                    ax, ay, at = s[0], s[1], t_next
-                            else:
-                                s = _advance(s, h, dlast, False)
+                        t_next = j * h
+                        dlast = float(_abs_pow(s[0], alpha)) * dB if noisy else 0.0
+                        if drift_exact:
+                            s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
+                            if dlast != 0.0:
+                                ax, ay, at = s[0], s[1], t_next
+                        else:
+                            s = _advance(s, h, dlast, False)
                         states.extend(s)
                         anchors.append((ax, ay, at))
                     stacked[:n].reshape(-1)[:] = states
@@ -420,39 +421,33 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
                         if not all_noisy:
                             np.copyto(dlast, 0.0, where=quiet)
                         if drift_exact:
-                            new = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
-                        else:
-                            new = _advance(s, h, dlast, False)
-                        if n_evolving == M:
-                            s = new
-                        else:
-                            s = tuple(np.where(evolving, a, b) for a, b in zip(new, s))
-                        if drift_exact:
-                            # A path's anchor moves with its noise.  A frozen
-                            # path has its noise off, and its anchor is never
-                            # used again (its update is discarded by the where).
+                            s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
+                            # A path's anchor moves with its noise.  A held
+                            # path's anchor is never read again, so it may
+                            # move with the others.
                             moved = np.count_nonzero(dlast)
-                            if moved == n_evolving:
+                            if moved == M - n_held:
                                 ax, ay, at = s[0], s[1], t_next
                             elif moved:
                                 m = dlast != 0.0
                                 ax, ay = np.where(m, s[0], ax), np.where(m, s[1], ay)
                                 at = np.where(m, t_next, at)
+                        else:
+                            s = _advance(s, h, dlast, False)
                         states.extend(s)
                         anchors.append((ax, ay, at))
                     np.concatenate(states, out=stacked[:n].reshape(-1))
                 last = stops(stacked[:n], k + 1)
                 record(k, last + 1)
-                # the stacked row holds the state with any frozen stop applied
                 s = tuple(stacked[last, :, 0].tolist()) if one else tuple(stacked[last].copy())
                 ax, ay, at = anchors[last]
                 del states, anchors
-                # rows past `last` were stepped with stale masks: shrink
-                sub = min(2 * sub, _SUB) if last == n - 1 else max(sub // 2, 1)
                 k += last + 1
                 i += last + 1
             # a row view would keep this block alive while the next is drawn
-            del inc_t, dB
+            inc_t = dB = None
+        for p, idx, state in held:
+            rec[p, idx // stride + 1 :] = state
 
 
 def integrate_block(
@@ -463,7 +458,6 @@ def integrate_block(
     initial_coords: np.ndarray | None = None,
     record_stride: int = 1,
     seeds: tuple[int, ...] | None = None,
-    grid_step: float | None = None,
 ) -> EnsembleResult:
     """Lockstep-integrate a block of paths over shared grid increments.
 
@@ -473,9 +467,7 @@ def integrate_block(
     records.  The result is allocated and finished here; the one kernel
     only steps, on floats for a single path and on rows otherwise.
     initial_coords (paths, dim) overrides params.initial per path (used
-    by jitter experiments).  grid_step defaults to cfg.grid_step and only
-    differs when the increments come from a path whose horizon exceeds
-    cfg.max_time.
+    by jitter experiments).
     """
     if isinstance(increments, _BlockStream):
         width = increments.width
@@ -505,9 +497,7 @@ def integrate_block(
         )
     if seeds is not None and len(seeds) != M:
         raise ValueError("seeds must match the number of paths")
-    h = cfg.grid_step if grid_step is None else float(grid_step)
-    if not h > 0.0:
-        raise ValueError(f"grid_step must be > 0, got {h}")
+    h = cfg.grid_step
 
     rec = np.empty((M, n_steps // record_stride + 1, d), dtype=np.float64)
     rec[:, 0] = initial_coords
@@ -528,19 +518,6 @@ def integrate_block(
     )
 
 
-def _path_increments(path: BrownianPath, cfg: SolveConfig) -> tuple[np.ndarray, float]:
-    if path.horizon < cfg.max_time * (1.0 - 1e-12):
-        raise ValueError(
-            f"path horizon {path.horizon} is shorter than max_time {cfg.max_time}"
-        )
-    aligned = at_level(path, cfg.level) if path.level != cfg.level else path
-    h = aligned.step
-    n = min(aligned.increments.size, int(math.floor(cfg.max_time / h + 1e-9)))
-    if n < 1:
-        raise ValueError("max_time is shorter than one grid step")
-    return aligned.increments[:n], h
-
-
 def solve(params: SystemParams, path: BrownianPath, cfg: SolveConfig) -> Trajectory:
     """Integrate one trajectory along `path` and detect its stop event.
 
@@ -549,11 +526,20 @@ def solve(params: SystemParams, path: BrownianPath, cfg: SolveConfig) -> Traject
     to cfg.max_time.  With zero_noise set, the increments are replaced
     by zeros.
     """
-    inc, h = _path_increments(path, cfg)
+    if path.horizon < cfg.max_time * (1.0 - 1e-12):
+        raise ValueError(
+            f"path horizon {path.horizon} is shorter than max_time {cfg.max_time}"
+        )
+    aligned = at_level(path, cfg.level)
+    n = min(aligned.increments.size, int(math.floor(cfg.max_time / aligned.step + 1e-9)))
+    if n < 1:
+        raise ValueError("max_time is shorter than one grid step")
+    inc = aligned.increments[:n]
     if cfg.zero_noise:
         inc = np.zeros_like(inc)
+    # the grid step is the path's: its horizon may exceed max_time
     block = integrate_block(
-        params, cfg, inc.reshape(1, -1), record_stride=1, seeds=(path.seed,), grid_step=h
+        params, replace(cfg, max_time=aligned.horizon), inc.reshape(1, -1), seeds=(path.seed,)
     )
     return block.trajectory(0)
 

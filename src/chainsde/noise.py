@@ -500,9 +500,7 @@ def refine(path: BrownianPath) -> BrownianPath:
     children and the coarse increments are the bitwise pairwise sums of
     the fine ones.
     """
-    _check_level(path.level + 1)
-    children = _refine_rows(path.increments[None, :], (path.seed,), path.horizon, path.level, 0, 1)
-    return BrownianPath(path.seed, path.horizon, path.level + 1, children[0])
+    return at_level(path, path.level + 1)
 
 
 def coarsen(path: BrownianPath, level: int) -> BrownianPath:

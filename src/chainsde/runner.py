@@ -416,7 +416,8 @@ def _couple(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
         )
 
     kernel = None
-    if config.chain_order == 3:
+    # a trace of one point (every pair stopped at t = 0) has no window
+    if config.chain_order == 3 and trace.times.size > 1:
         try:
             label = classify(params.initial, config.band_n)
         except ValueError:

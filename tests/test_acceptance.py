@@ -7,11 +7,14 @@ total.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import chainsde
 from chainsde.analysis import InvariantReport, evaluate_case_bounds, excursion_scan
 from chainsde.cli import main
 from chainsde.core import ChainState, SystemParams
@@ -251,9 +254,11 @@ def test_09_reproducibility(tmp_path, monkeypatch):
     monkeypatch.delenv("CHAINSDE_WORKERS")
     # the installed entry point behaves like the library call
     out = tmp_path / "subproc"
+    # the package's parent on the path: a checkout need not be installed
+    env = {**os.environ, "PYTHONPATH": str(Path(chainsde.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "chainsde"] + _CLI_CASES[0] + ["--out", str(out)],
-        capture_output=True,
+        capture_output=True, env=env,
     )
     ok &= proc.returncode == 0
     with open(out / "summary.json", "r", encoding="utf-8") as fh:

@@ -357,6 +357,19 @@ class TestCommands:
         d_col = header.index("D")
         assert all(float(row[d_col]) == 0.0 for row in rows)
 
+    def test_couple_every_pair_stopped_at_t0(self, tmp_path):
+        # a start outside the band 2^1 stops every pair at t = 0: the
+        # divergence trace has one point and no kernel-check window
+        out = tmp_path / "o"
+        code = main(
+            ["couple", "--band-n", "1", "--initial-y", "3", "--level", "6", "--ensemble", "5",
+             "--seed", "1", "--out", str(out)]
+        )
+        assert code == 0
+        assert read_summary(out)["kernel_check"] is None
+        header, rows = read_trace(out)
+        assert len(rows) == 1 and float(rows[0][header.index("time")]) == 0.0
+
     def test_bounds_zero_noise_case_i(self, tmp_path):
         out = tmp_path / "o"
         code = main(

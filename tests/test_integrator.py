@@ -442,16 +442,44 @@ class TestSubBlockEdges:
         assert set(ens.stop_reasons[: len(stops)].tolist()) == {
             StopReason.OUTER_BAND, StopReason.INNER_BAND}
 
+    _ALL_STOPPED = [5, 70, 33, 70, 34, 1, 99]  # the last stop falls mid-block
+
     @pytest.mark.parametrize("cont", [False, True])
     def test_every_path_stopped_mid_block(self, cont):
-        stops = [5, 70, 33, 70, 34, 1, 99]  # the last stop falls mid-block
-        par, init, inc = self._case(stops, n_noisy=0)
+        stops = self._ALL_STOPPED
+        # 260 steps, so that strides 4 and 5 both divide the step count
+        par, init, inc = self._case(stops, n_noisy=0, steps=260)
         cfg = SolveConfig(level=8, band_n=1, max_time=1.0, continue_after_stop=cont)
         ens = _rows_match_scalar(par, cfg, inc, init)
         assert ens.stop_indices.tolist() == stops
+        for stride in (4, 5):
+            strided = _rows_match_scalar(par, cfg, inc, init, stride)
+            assert strided.stop_indices.tolist() == stops
+            assert strided.coords.tobytes() == ens.coords[:, ::stride].tobytes()
         if not cont:
+            # a held path's records after its stop hold its stop state
             for i, k in enumerate(stops):
                 assert np.all(ens.coords[i, k:] == ens.coords[i, k])
+
+    def test_fully_held_solve_stops_stepping(self, monkeypatch, sub):
+        advance = integrator._advance
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return advance(*args)
+
+        monkeypatch.setattr(integrator, "_advance", counted)
+        stops = self._ALL_STOPPED
+        par, init, inc = self._case(stops, n_noisy=0, steps=260)
+        cfg = SolveConfig(level=8, band_n=1, max_time=1.0)
+        # every path is held by step 99: at most the sub-block holding that
+        # step is stepped on, and a single path stops at its own stop
+        for rows, last_stop in ((slice(None), max(stops)), (slice(5, 6), stops[5])):
+            calls.clear()
+            ens = integrate_block(par, cfg, inc[rows], initial_coords=init[rows])
+            assert ens.stop_indices.tolist() == stops[rows]
+            assert len(calls) < last_stop + 2 * sub
 
     def test_blowup_after_band_stop_continues(self):
         # row 0 leaves the band at step 0 and overflows as it drifts on;

@@ -5,13 +5,20 @@ block width, and solves that walk it must not depend on the width.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chainsde import noise
 from chainsde.core import ChainState, SystemParams
-from chainsde.coupling import InitJitter, ResolutionSplit, SchemeSplit, coupled_ensemble
+from chainsde.coupling import (
+    InitJitter,
+    ResolutionSplit,
+    SchemeSplit,
+    _coupled_pair,
+    coupled_ensemble,
+)
 from chainsde.integrator import SolveConfig, StopReason, integrate_block, solve_ensemble
 from chainsde.noise import (
     _BlockStream,
@@ -161,6 +168,23 @@ class TestWidthIndependence:
                 assert np.array_equal(bits(a.divergence), bits(b.divergence))
         if zero_noise:
             assert all(not run.sq_diff.any() for run in default)
+
+    def test_resolution_pair_with_every_fine_path_held_early(self, monkeypatch):
+        # The fine side holds every path by t = 2.86 of 8, while coarse
+        # paths run on to t = 3.75: the fine solve must still walk the
+        # whole stream, whose blocks it sums into the coarse increments.
+        par = params_at((0.0, 1.0, 0.0))
+        cfg = SolveConfig(level=9, band_n=1, max_time=8.0)
+        seeds = [path_seed(43, i) for i in range(6)]
+        set_width(monkeypatch, len(seeds), 8)
+        coarse, fine, _, _ = _coupled_pair(par, seeds, ResolutionSplit(6, 9), cfg)
+        assert fine.stop_reasons.tolist() == [StopReason.OUTER_BAND] * 6
+        assert fine.stop_indices.max() * fine.step < 3.0 < coarse.stop_indices.max() * coarse.step
+        want = integrate_block(
+            par, replace(cfg, level=6), _pairwise_sums(generate_matrix(seeds, 8.0, 9), 3),
+            initial_coords=np.tile(par.initial.coords, (6, 1)),
+        )
+        assert_same_ensemble(coarse, want)
 
 
 def test_memory_does_not_grow_with_level(monkeypatch):
