@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import SystemParams
+from .coupling import _pair_divergence
 from .integrator import Scheme, SolveConfig, Trajectory, solve_ensemble
 from .noise import path_seed
 from .stopping import CaseKind, CaseLabel, StoppingBand, classify, detect_Tn, guaranteed_window
@@ -259,28 +260,21 @@ def convergence_errors(
 ) -> np.ndarray:
     """Per-path sup errors |X^(L) - X^(ref)| for one block of seeds.
 
-    Shape (len(levels), len(seeds)); comparison runs over the level's
-    own grid, up to the earlier stop of the coarse/reference pair.
+    Shape (len(levels), len(seeds)); each is the sup of the censored gap
+    of the level/reference pair (`coupling._pair_divergence`).
     """
     levels = tuple(int(lv) for lv in levels)
     if any(lv >= level_ref for lv in levels):
         raise ValueError(f"all levels must be below level_ref = {level_ref}")
-    lmax = max(levels)
     errors = np.zeros((len(levels), len(seeds)))
     ref = solve_ensemble(
         params, replace(cfg, level=level_ref), seeds,
-        record_stride=2 ** (level_ref - lmax),
+        record_stride=2 ** (level_ref - max(levels)),
     )
     for j, lv in enumerate(levels):
         run = solve_ensemble(params, replace(cfg, level=lv), seeds)
-        sub = 2 ** (lmax - lv)
-        ref_x = ref.coords[:, ::sub, 0]
         for i in range(len(seeds)):
-            k_run = int(run.stop_indices[i])
-            k_ref = int(ref.stop_indices[i]) // 2 ** (level_ref - lv)
-            k = min(k_run, k_ref)
-            diff = np.abs(run.coords[i, : k + 1, 0] - ref_x[i, : k + 1])
-            errors[j, i] = diff.max()
+            errors[j, i] = _pair_divergence(run, ref, 1, 2 ** (level_ref - lv), i)[-1, 2]
     return errors
 
 

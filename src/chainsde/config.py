@@ -13,16 +13,24 @@ say none).  Lines starting with # and blank lines are ignored.  File and
 flag values go through the same `_coerce`; flags override file values,
 which override the defaults.  Every run echoes its fully resolved config
 into summary.json, and the echo reparses to an equal ExperimentConfig.
+
+A config is checked whole when it is made: `__post_init__` also builds
+what `runner.run` builds for the command (`system_params`, the
+`SolveConfig` of every level it solves, the couple perturbation, the
+bounds `case_label`), so a value the run would reject fails first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
+from .core import ChainState, SystemParams
+from .coupling import _pair_setup, parse_perturbation
 from .errors import ConfigError
-from .integrator import Scheme
+from .integrator import Scheme, SolveConfig
+from .stopping import CaseLabel, classify, guaranteed_window
 
 __all__ = ["COMMANDS", "ExperimentConfig", "parse_config_file"]
 
@@ -71,10 +79,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"command must be one of {tuple(COMMANDS)}, got {self.command!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.chain_order not in (2, 3):
-            raise ConfigError(f"chain_order must be 2 or 3, got {self.chain_order}")
         for name in ("initial_x", "initial_y", "initial_z"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -82,8 +86,6 @@ class ExperimentConfig:
             raise ConfigError("initial_z must be 0 for chain_order 2")
         if self.band_n < 1:
             raise ConfigError(f"band_n must be >= 1, got {self.band_n}")
-        if self.level < 0:
-            raise ConfigError(f"level must be >= 0, got {self.level}")
         if not self.levels or any(lv < 0 for lv in self.levels):
             raise ConfigError(f"levels must be a non-empty list of ints >= 0, got {self.levels}")
         if self.command == "converge":
@@ -116,12 +118,51 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tol_step_scale must be finite and >= 0, got {self.tol_step_scale}"
             )
+        # build what `run` builds, so that a config it would reject fails
+        # here, before any output is written
+        params = self.system_params
+        if self.command == "bounds":
+            window = guaranteed_window(self.case_label, params.initial, self.band_n)
+            SolveConfig(self.level, self.band_n, window)
+            return
+        cfg = self.solve_config  # caps the level before 2**level is formed
+        if self.command == "couple":
+            _pair_setup(params, parse_perturbation(self.perturbation), cfg)
+        if self.command == "converge":
+            for lv in (*self.levels, self.level_ref):
+                replace(cfg, level=lv)
+        if self.command == "simulate" and 2**self.level % (self.trace_stride or 1):
+            raise ConfigError(
+                f"trace_stride {self.trace_stride} must divide the step count {2**self.level}"
+            )
 
     @property
     def initial_coords(self) -> tuple[float, ...]:
         if self.chain_order == 2:
             return (self.initial_x, self.initial_y)
         return (self.initial_x, self.initial_y, self.initial_z)
+
+    @property
+    def system_params(self) -> SystemParams:
+        try:
+            return SystemParams(self.alpha, self.chain_order, ChainState(0.0, self.initial_coords))
+        except ValueError as exc:
+            raise ConfigError(f"bad initial state or alpha: {exc}") from None
+
+    @property
+    def solve_config(self) -> SolveConfig:
+        return SolveConfig(self.level, self.band_n, self.horizon, Scheme(self.scheme),
+                           self.origin_eps, zero_noise=self.zero_noise)
+
+    @property
+    def case_label(self) -> CaseLabel:
+        """The excursion case of the start, which bounds needs."""
+        if self.chain_order != 3:
+            raise ConfigError("bounds requires chain_order 3 (the case machinery is 3-d)")
+        try:
+            return classify(self.system_params.initial, self.band_n)
+        except ValueError as exc:
+            raise ConfigError(f"bad initial state for bounds: {exc}") from None
 
     def to_mapping(self) -> dict[str, Any]:
         """JSON-ready echo; reparses to an equal config via from_mapping."""

@@ -2,7 +2,8 @@
 
 Two discretized solutions driven by identical inputs are identical, so
 divergence is probed by perturbing exactly one ingredient while the
-driving noise (one Brownian family per seed) stays shared:
+driving noise (one Brownian family per seed) stays shared
+(`parse_perturbation` reads these from their config text):
 
     ResolutionSplit(a, b)  same scheme and start, grid levels a and b
     InitJitter(delta)      same grid and noise, X start offset by delta
@@ -18,7 +19,8 @@ to the earlier of the two stop times (early-stopped runs are censored,
 never extrapolated), the squared signed difference (X_a - X_b)^2, the
 running sup of |X_a - X_b|, and the squared gap of magnitudes
 (|X_a| - |X_b|)^2.  The signed version dominates the magnitude version
-and is the one fed to the kernel check; both are kept.
+and is the one fed to the kernel check; both are kept.  The final
+running sup is the per-path error of `analysis.convergence_errors`.
 
 The kernel check integrates K_t = int_0^t r^kappa D_r dr by trapezoid,
 with kappa = 2 alpha - 2 in cases I/II and 4 alpha - 4 in cases III/IV,
@@ -38,6 +40,7 @@ from typing import Union
 import numpy as np
 
 from .core import SystemParams
+from .errors import ConfigError
 from .integrator import Scheme, SolveConfig, Trajectory, integrate_block
 from .noise import _BlockStream
 from .stopping import CaseKind, CaseLabel
@@ -47,6 +50,7 @@ __all__ = [
     "InitJitter",
     "SchemeSplit",
     "Perturbation",
+    "parse_perturbation",
     "CoupledRun",
     "DivergenceTrace",
     "KernelCheck",
@@ -86,6 +90,27 @@ class SchemeSplit:
 
 
 Perturbation = Union[ResolutionSplit, InitJitter, SchemeSplit]
+
+
+def parse_perturbation(text: str) -> Perturbation:
+    """Parse 'jitter:<delta>', 'resolution:<la>,<lb>', or 'scheme'."""
+    head, _, tail = text.strip().partition(":")
+    try:
+        if head == "jitter":
+            return InitJitter(float(tail))
+        if head == "resolution":
+            la, _, lb = tail.partition(",")
+            return ResolutionSplit(int(la), int(lb))
+        if head == "scheme":
+            if tail:
+                raise ValueError("scheme takes no argument")
+            return SchemeSplit()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for config field 'perturbation': {exc}") from None
+    raise ConfigError(
+        f"bad value for config field 'perturbation': unknown kind {head!r} "
+        "(expected jitter:<delta>, resolution:<la>,<lb>, or scheme)"
+    )
 
 
 @dataclass(frozen=True, eq=False)

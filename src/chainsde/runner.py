@@ -54,20 +54,17 @@ from .analysis import (
     excursion_scan,
 )
 from .config import ExperimentConfig
-from .core import ChainState, SystemParams
 from .coupling import (
     InitJitter,
-    Perturbation,
-    ResolutionSplit,
-    SchemeSplit,
     coupled_ensemble,
     estimate_divergence,
     gronwall_kernel_check,
+    parse_perturbation,
 )
 from .errors import ChainSDEError, ConfigError
-from .integrator import Scheme, SolveConfig, StopReason, solve_ensemble
+from .integrator import Scheme, StopReason, solve_ensemble
 from .noise import generate, path_seed, save_path
-from .stopping import classify, guaranteed_window
+from .stopping import guaranteed_window
 
 __all__ = ["run", "parse_perturbation", "CHUNK"]
 
@@ -79,47 +76,6 @@ CHUNK = 256
 _WRITE_BLOCK = 8192
 
 _WORKERS_ENV = "CHAINSDE_WORKERS"
-
-
-def parse_perturbation(text: str) -> Perturbation:
-    """Parse 'jitter:<delta>', 'resolution:<la>,<lb>', or 'scheme'."""
-    head, _, tail = text.strip().partition(":")
-    try:
-        if head == "jitter":
-            return InitJitter(float(tail))
-        if head == "resolution":
-            la, _, lb = tail.partition(",")
-            return ResolutionSplit(int(la), int(lb))
-        if head == "scheme":
-            if tail:
-                raise ValueError("scheme takes no argument")
-            return SchemeSplit()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for config field 'perturbation': {exc}") from None
-    raise ConfigError(
-        f"bad value for config field 'perturbation': unknown kind {head!r} "
-        "(expected jitter:<delta>, resolution:<la>,<lb>, or scheme)"
-    )
-
-
-def _system_params(config: ExperimentConfig) -> SystemParams:
-    try:
-        return SystemParams(
-            config.alpha, config.chain_order, ChainState(0.0, config.initial_coords)
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad initial state or alpha: {exc}") from None
-
-
-def _solve_config(config: ExperimentConfig) -> SolveConfig:
-    return SolveConfig(
-        level=config.level,
-        band_n=config.band_n,
-        max_time=config.horizon,
-        scheme=Scheme(config.scheme),
-        origin_eps=config.origin_eps,
-        zero_noise=config.zero_noise,
-    )
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
@@ -264,16 +220,6 @@ def _seeds(config: ExperimentConfig) -> list[int]:
     return [path_seed(config.seed, i) for i in range(config.ensemble)]
 
 
-def _auto_stride(config: ExperimentConfig, n_steps: int) -> int:
-    if config.trace_stride is not None:
-        if n_steps % config.trace_stride != 0:
-            raise ConfigError(
-                f"trace_stride {config.trace_stride} must divide the step count {n_steps}"
-            )
-        return config.trace_stride
-    return max(1, n_steps // 128)
-
-
 # Each command is a worker task and a body.  Both call the public
 # functions by module-global name, so wrappers installed on this module's
 # attributes (tracing, tests) see every call; _COMMANDS therefore holds
@@ -284,8 +230,9 @@ def _auto_stride(config: ExperimentConfig, n_steps: int) -> int:
 
 def _simulate_task(arg):
     config, seeds = arg
-    stride = _auto_stride(config, 2**config.level)
-    ens = solve_ensemble(_system_params(config), _solve_config(config), seeds,
+    # the config checked that a given stride divides the step count
+    stride = config.trace_stride or max(1, 2**config.level // 128)
+    ens = solve_ensemble(config.system_params, config.solve_config, seeds,
                          record_stride=stride)
     return ens.times, ens.coords, ens.stop_reasons, ens.stop_indices
 
@@ -350,7 +297,7 @@ def _simulate(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
 def _bounds_task(arg):
     config, seeds = arg
     return evaluate_case_bounds(
-        _system_params(config),
+        config.system_params,
         config.band_n,
         seeds,
         config.level,
@@ -363,14 +310,8 @@ def _bounds_task(arg):
 
 
 def _bounds(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
-    if config.chain_order != 3:
-        raise ConfigError("bounds requires chain_order 3 (the case machinery is 3-d)")
-    params = _system_params(config)
-    try:
-        label = classify(params.initial, config.band_n)
-    except ValueError as exc:
-        raise ConfigError(f"bad initial state for bounds: {exc}") from None
-    window = guaranteed_window(label, params.initial, config.band_n)
+    label = config.case_label
+    window = guaranteed_window(label, config.system_params.initial, config.band_n)
     records: list[BoundRecord] = [rec for part in over_chunks(_bounds_task) for rec in part]
     report = InvariantReport(tuple(records))
 
@@ -396,13 +337,12 @@ def _bounds(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
 def _couple_task(arg):
     config, seeds = arg
     return coupled_ensemble(
-        _system_params(config), seeds, parse_perturbation(config.perturbation),
-        _solve_config(config),
+        config.system_params, seeds, parse_perturbation(config.perturbation),
+        config.solve_config,
     )
 
 
 def _couple(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
-    params = _system_params(config)
     pert = parse_perturbation(config.perturbation)
     runs = [run for part in over_chunks(_couple_task) for run in part]
     trace = estimate_divergence(runs)
@@ -416,23 +356,20 @@ def _couple(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
         )
 
     kernel = None
+    try:
+        label = config.case_label
+    except ConfigError:  # the start is no excursion start
+        label = None
     # a trace of one point (every pair stopped at t = 0) has no window
-    if config.chain_order == 3 and trace.times.size > 1:
-        try:
-            label = classify(params.initial, config.band_n)
-        except ValueError:
-            label = None
-        if label is not None:
-            chk = gronwall_kernel_check(
-                config.alpha, label, trace, float(trace.times[-1])
-            )
-            kernel = {
-                "case_label": str(label),
-                "kappa": chk.kappa,
-                "integrable": chk.integrable,
-                "c_hat": chk.c_hat,
-                "window": chk.window,
-            }
+    if label is not None and trace.times.size > 1:
+        chk = gronwall_kernel_check(config.alpha, label, trace, float(trace.times[-1]))
+        kernel = {
+            "case_label": str(label),
+            "kappa": chk.kappa,
+            "integrable": chk.integrable,
+            "c_hat": chk.c_hat,
+            "window": chk.window,
+        }
 
     fields = {
         "perturbation": config.perturbation,
@@ -450,8 +387,8 @@ def _couple(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
 
 def _excursions_task(arg):
     config, seeds = arg
-    cfg = _solve_config(config)
-    ens = solve_ensemble(_system_params(config), cfg, seeds)
+    cfg = config.solve_config
+    ens = solve_ensemble(config.system_params, cfg, seeds)
     out = []
     for i in range(ens.n_paths):
         stats = excursion_scan(ens.trajectory(i), cfg.origin_tolerance)
@@ -489,7 +426,7 @@ def _excursions(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
 def _converge_task(arg):
     config, seeds = arg
     return convergence_errors(
-        _system_params(config), _solve_config(config), config.levels, config.level_ref, seeds
+        config.system_params, config.solve_config, config.levels, config.level_ref, seeds
     )
 
 

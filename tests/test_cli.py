@@ -143,6 +143,31 @@ class TestExitCodes:
         assert flag[2:].replace("-", "_") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--initial-y", "0"],
+        ["simulate", "--level", "30"],
+        ["simulate", "--band-n", "4", "--origin-eps", "0.5"],
+        ["simulate", "--level", "4", "--trace-stride", "3"],
+        ["couple", "--perturbation", "wobble:3"],
+        ["couple", "--perturbation", "resolution:4,30"],
+        ["converge", "--levels", "4,6", "--level-ref", "30"],
+        ["bounds", "--initial-x", "0.5"],
+        ["bounds", "--chain-order", "2"],
+    ], ids=" ".join)
+    def test_rejected_before_output_dir(self, tmp_path, capsys, argv):
+        # the config builds what the run builds, so a value the run would
+        # reject fails before the output directory is made
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("chainsde: config error:")
+        assert not out.exists()
+
+    def test_gate_checks_only_what_the_command_builds(self, tmp_path):
+        # bounds solves on its own window config, which takes no origin_eps
+        argv = ["bounds", "--band-n", "4", "--origin-eps", "0.5", "--level", "6",
+                "--ensemble", "2"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) != 2
+
 
 class TestAtomicOutputs:
     _ARGS = ["simulate", "--level", "4", "--ensemble", "2", "--band-n", "6"]

@@ -389,7 +389,7 @@ def _inner_at(k):
     return (0.5 + k * _H * 0.25, -0.25, 0.0)
 
 
-def _rows_match_scalar(par, cfg, inc, init, stride=1):
+def _one_path_solves_match_rows(par, cfg, inc, init, stride=1):
     """Every row of the ensemble result is bitwise that row solved alone,
     which the kernel steps on floats."""
     ens = integrate_block(par, cfg, inc, initial_coords=init, record_stride=stride)
@@ -437,7 +437,7 @@ class TestSubBlockEdges:
         cfg = SolveConfig(level=8, band_n=1, max_time=1.0, scheme=scheme,
                           continue_after_stop=cont)
         for stride in (1, 4):
-            ens = _rows_match_scalar(par, cfg, inc, init, stride)
+            ens = _one_path_solves_match_rows(par, cfg, inc, init, stride)
         assert ens.stop_indices[: len(stops)].tolist() == stops
         assert set(ens.stop_reasons[: len(stops)].tolist()) == {
             StopReason.OUTER_BAND, StopReason.INNER_BAND}
@@ -450,10 +450,10 @@ class TestSubBlockEdges:
         # 260 steps, so that strides 4 and 5 both divide the step count
         par, init, inc = self._case(stops, n_noisy=0, steps=260)
         cfg = SolveConfig(level=8, band_n=1, max_time=1.0, continue_after_stop=cont)
-        ens = _rows_match_scalar(par, cfg, inc, init)
+        ens = _one_path_solves_match_rows(par, cfg, inc, init)
         assert ens.stop_indices.tolist() == stops
         for stride in (4, 5):
-            strided = _rows_match_scalar(par, cfg, inc, init, stride)
+            strided = _one_path_solves_match_rows(par, cfg, inc, init, stride)
             assert strided.stop_indices.tolist() == stops
             assert strided.coords.tobytes() == ens.coords[:, ::stride].tobytes()
         if not cont:
@@ -493,7 +493,7 @@ class TestSubBlockEdges:
         inc[1, 39] = math.inf  # the increment of step 40
         inc[2, 3] = math.inf  # the increment of step 4, after the stop at 3
         cfg = SolveConfig(level=8, band_n=1, max_time=1.0, continue_after_stop=True)
-        ens = _rows_match_scalar(par, cfg, inc, init)
+        ens = _one_path_solves_match_rows(par, cfg, inc, init)
         assert ens.stop_reason(0) is StopReason.OUTER_BAND and ens.stop_indices[0] == 0
         assert not np.all(np.isfinite(ens.coords[0, -1]))
         assert ens.stop_reason(1) is StopReason.BLOWUP and ens.stop_indices[1] == 40
@@ -503,7 +503,7 @@ class TestSubBlockEdges:
     def test_matrix_width_not_a_multiple_of_sub(self, steps, stride):
         par, init, inc = self._case([0, 6, 50, 99], n_noisy=6, steps=steps)
         cfg = SolveConfig(level=8, band_n=1, max_time=1.0, continue_after_stop=True)
-        _rows_match_scalar(par, cfg, inc, init, stride)
+        _one_path_solves_match_rows(par, cfg, inc, init, stride)
 
     @pytest.mark.parametrize("width", [2, 8, 16])
     def test_stream_blocks_narrower_than_sub(self, monkeypatch, width):
