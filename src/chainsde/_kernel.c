@@ -1,0 +1,138 @@
+/* The lockstep step of chainsde.integrator for two or more paths.
+
+   step_rows repeats the numpy rows body of integrator._integrate
+   operation for operation, so its results are bitwise equal to it.  The
+   coefficient |x|^alpha is exp(alpha * log|x|), in core._abs_pow's
+   order, evaluated by numpy's own float64 log and exp loops: bind_loops
+   reads them from the ufunc objects, and abs_pow_rows lets the loader
+   probe them against core._abs_pow.  Build with -ffp-contract=off and
+   without -ffast-math: a fused multiply-add or a reassociation would
+   change the bits.
+
+   Arrays are C-contiguous float64, one entry per path in each row: a
+   state is (d, m), the anchors (ax, ay, at) are (3, m), and row i of
+   the increments holds step i's increment of every path. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_2_0_API_VERSION
+#include <numpy/ndarraytypes.h>
+#include <numpy/ufuncobject.h>
+
+#include <fenv.h>
+#include <math.h>
+#include <stdint.h>
+
+static PyUFuncGenericFunction log_loop, exp_loop;
+static void *log_data, *exp_data;
+
+/* The float64 -> float64 loop of the one-input ufunc `obj`. */
+static int find_loop(PyObject *obj, PyUFuncGenericFunction *loop, void **data)
+{
+    PyUFuncObject *u = (PyUFuncObject *)obj;
+    if (u->nin != 1 || u->nout != 1)
+        return -1;
+    for (int i = 0; i < u->ntypes; i++) {
+        if (u->types[2 * i] == NPY_DOUBLE && u->types[2 * i + 1] == NPY_DOUBLE
+            && u->functions[i] != NULL) {
+            *loop = u->functions[i];
+            *data = u->data == NULL ? NULL : u->data[i];
+            return 0;
+        }
+    }
+    return -1;
+}
+
+/* Take the float64 loops of numpy.log and numpy.exp: 0 on success,
+   else -1 with the loops bound before left as they were. */
+int bind_loops(PyObject *log_ufunc, PyObject *exp_ufunc)
+{
+    PyUFuncGenericFunction lg, ex;
+    void *lg_data, *ex_data;
+    if (find_loop(log_ufunc, &lg, &lg_data) || find_loop(exp_ufunc, &ex, &ex_data))
+        return -1;
+    log_loop = lg;
+    log_data = lg_data;
+    exp_loop = ex;
+    exp_data = ex_data;
+    return 0;
+}
+
+/* out[p] = exp(alpha * log|x[p]|) for p < m, as core._abs_pow: fabs,
+   numpy's log loop, one multiply, numpy's exp loop. */
+static void abs_pow(const double *x, int64_t m, double alpha, double *out)
+{
+    npy_intp dim = (npy_intp)m, steps[2] = {sizeof(double), sizeof(double)};
+    char *args[2] = {(char *)out, (char *)out};
+    for (int64_t p = 0; p < m; p++)
+        out[p] = fabs(x[p]);
+    log_loop(args, &dim, steps, log_data);
+    for (int64_t p = 0; p < m; p++)
+        out[p] = alpha * out[p];
+    exp_loop(args, &dim, steps, exp_data);
+}
+
+/* abs_pow for the load-time probe. */
+void abs_pow_rows(const double *x, int64_t m, double alpha, double *out)
+{
+    abs_pow(x, m, alpha, out);
+    feclearexcept(FE_ALL_EXCEPT);
+}
+
+/* Advance m paths of order d over n steps, the first of them to grid
+   index j0, from `state` and `anchors`.  Step i writes its state to
+   stacked + i*d*m and its anchors to anchor_rows + i*3*m; `state` and
+   `anchors` are only read.  A quiet path (quiet[p] != 0) takes
+   dlast = 0.0.  With `exact` a path's drift rows are the exact flow from
+   its anchor over t - at, with t = j * h, and its anchor moves to the new
+   state iff its dlast != 0; otherwise forward Euler over h.  `coef`
+   holds m doubles of scratch. */
+void step_rows(int64_t m, int64_t d, int64_t n, const double *inc, int64_t j0, double h,
+               double alpha, int exact, const uint8_t *quiet, const double *state,
+               const double *anchors, double *stacked, double *anchor_rows, double *coef)
+{
+    const double *s = state, *a = anchors;
+    for (int64_t i = 0; i < n; i++) {
+        const double *dB = inc + i * m;
+        double *o = stacked + i * d * m, *b = anchor_rows + i * 3 * m;
+        double t = (double)(j0 + i) * h;
+        abs_pow(s, m, alpha, coef);
+        for (int64_t p = 0; p < m; p++) {
+            double dlast = quiet[p] ? 0.0 : coef[p] * dB[p];
+            double ax = a[p], ay = a[m + p], at = a[2 * m + p];
+            double x = s[p], y = s[m + p];
+            if (d == 3) {
+                double z = s[2 * m + p];
+                if (exact) {
+                    double dt = t - at;
+                    x = ax + dt * ay + (0.5 * (dt * dt)) * z;
+                    y = ay + dt * z;
+                } else {
+                    x = x + h * y;
+                    y = y + h * z;
+                }
+                o[2 * m + p] = z + dlast;
+            } else if (exact) {
+                double dt = t - at;
+                x = ax + dt * ay;
+                y = ay + dlast;
+            } else {
+                x = x + h * y;
+                y = y + dlast;
+            }
+            o[p] = x;
+            o[m + p] = y;
+            if (exact && dlast != 0.0) {
+                ax = x;
+                ay = y;
+                at = t;
+            }
+            b[p] = ax;
+            b[m + p] = ay;
+            b[2 * m + p] = at;
+        }
+        s = o;
+        a = b;
+    }
+    feclearexcept(FE_ALL_EXCEPT);
+}

@@ -17,7 +17,9 @@ into summary.json, and the echo reparses to an equal ExperimentConfig.
 A config is checked whole when it is made: `__post_init__` also builds
 what `runner.run` builds for the command (`system_params`, the
 `SolveConfig` of every level it solves, the couple perturbation, the
-bounds `case_label`), so a value the run would reject fails first.
+bounds `case_label` and its window) and checks each of those solves
+against `integrate_block`'s memory budget for one chunk of paths, so a
+value the run would reject fails first.
 """
 
 from __future__ import annotations
@@ -27,12 +29,17 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .core import ChainState, SystemParams
-from .coupling import _pair_setup, parse_perturbation
+from .coupling import _TRACE_POINTS, _pair_grids, _pair_setup, parse_perturbation
 from .errors import ConfigError
-from .integrator import Scheme, SolveConfig
+from .integrator import _BLOCK_BUDGET, Scheme, SolveConfig, _block_bytes
+from .noise import _block_width
 from .stopping import CaseLabel, classify, guaranteed_window
 
-__all__ = ["COMMANDS", "ExperimentConfig", "parse_config_file"]
+__all__ = ["CHUNK", "COMMANDS", "ExperimentConfig", "parse_config_file"]
+
+# paths per worker task; fixed so chunking (and therefore output bytes)
+# never depends on the worker count
+CHUNK = 256
 
 COMMANDS = {
     "simulate": "integrate an ensemble and tabulate stop events",
@@ -123,18 +130,49 @@ class ExperimentConfig:
         params = self.system_params
         if self.command == "bounds":
             window = guaranteed_window(self.case_label, params.initial, self.band_n)
+            if not window > 0.0:
+                raise ConfigError(
+                    f"band_n {self.band_n} leaves no guaranteed window: it underflows to 0.0"
+                )
             SolveConfig(self.level, self.band_n, window)
+            self._check_memory([(self.level, None, 1)])
             return
         cfg = self.solve_config  # caps the level before 2**level is formed
         if self.command == "couple":
-            _pair_setup(params, parse_perturbation(self.perturbation), cfg)
+            cfg_a, cfg_b, _ = _pair_setup(params, parse_perturbation(self.perturbation), cfg)
+            lo, hi = sorted((cfg_a.level, cfg_b.level))
+            # the coarser side of a resolution pair integrates the recorded matrix
+            self._check_memory([
+                (side.level, 2**lo if side.level < hi else None, grid)
+                for side, grid in zip((cfg_a, cfg_b), _pair_grids(cfg_a, cfg_b, _TRACE_POINTS))
+            ])
         if self.command == "converge":
             for lv in (*self.levels, self.level_ref):
                 replace(cfg, level=lv)
-        if self.command == "simulate" and 2**self.level % (self.trace_stride or 1):
-            raise ConfigError(
-                f"trace_stride {self.trace_stride} must divide the step count {2**self.level}"
-            )
+            self._check_memory([(self.level_ref, None, 2 ** (self.level_ref - max(self.levels))),
+                                *((lv, None, 1) for lv in self.levels)])
+        if self.command == "simulate":
+            if 2**self.level % (self.trace_stride or 1):
+                raise ConfigError(
+                    f"trace_stride {self.trace_stride} must divide the step count {2**self.level}"
+                )
+            self._check_memory([(self.level, None, self.record_stride)])
+        if self.command == "excursions":
+            self._check_memory([(self.level, None, 1)])
+
+    def _check_memory(self, solves) -> None:
+        """Check `integrate_block`'s memory budget for the solves of one
+        chunk of paths, each (level, increment width or None for the
+        stream's block width, record stride)."""
+        paths = min(self.ensemble, CHUNK)
+        for level, width, stride in solves:
+            need = _block_bytes(paths, width or _block_width(paths, level), 2**level, stride,
+                                self.chain_order)
+            if need > _BLOCK_BUDGET:
+                raise ConfigError(
+                    f"level {level} with ensemble {self.ensemble} needs {need} bytes per "
+                    f"chunk of {paths} paths (> {_BLOCK_BUDGET}); lower the level"
+                )
 
     @property
     def initial_coords(self) -> tuple[float, ...]:
@@ -153,6 +191,11 @@ class ExperimentConfig:
     def solve_config(self) -> SolveConfig:
         return SolveConfig(self.level, self.band_n, self.horizon, Scheme(self.scheme),
                            self.origin_eps, zero_noise=self.zero_noise)
+
+    @property
+    def record_stride(self) -> int:
+        """Simulate's record stride: trace_stride, else 2^level / 128 (at least 1)."""
+        return self.trace_stride or max(1, 2**self.level // 128)
 
     @property
     def case_label(self) -> CaseLabel:

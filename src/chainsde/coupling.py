@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 
+# Points of the divergence grid of `coupled_ensemble` at most, by default.
+_TRACE_POINTS = 1025
+
+
 @dataclass(frozen=True)
 class ResolutionSplit:
     level_a: int
@@ -197,6 +201,16 @@ def _pair_setup(params: SystemParams, pert: Perturbation, cfg: SolveConfig):
     return cfg_a, cfg_b, init_b
 
 
+def _pair_grids(cfg_a: SolveConfig, cfg_b: SolveConfig, max_trace_points: int | None):
+    """The divergence grid's stride in each side's grid steps: the coarser
+    grid, decimated to at most max_trace_points points when one is given."""
+    lo = min(cfg_a.level, cfg_b.level)
+    # the smallest power of two with 2^lo / rec <= max_trace_points - 1
+    rec = 1 if max_trace_points is None else (
+        1 << max(0, lo + 1 - (max_trace_points - 1).bit_length()))
+    return rec * 2 ** (cfg_a.level - lo), rec * 2 ** (cfg_b.level - lo)
+
+
 def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
     """Both sides of the coupled pairs of `seeds`, sharing generated noise.
 
@@ -214,10 +228,7 @@ def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
     hi = max(cfg_a.level, cfg_b.level)
     lo = min(cfg_a.level, cfg_b.level)
     full = max_trace_points is None
-    # the smallest power of two with 2^lo / rec <= max_trace_points - 1
-    rec = 1 if full else 1 << max(0, lo + 1 - (max_trace_points - 1).bit_length())
-    grid_a = rec * 2 ** (cfg_a.level - lo)
-    grid_b = rec * 2 ** (cfg_b.level - lo)
+    grid_a, grid_b = _pair_grids(cfg_a, cfg_b, max_trace_points)
     m = len(seeds)
 
     def integrate(side_cfg, init, grid, inc):
@@ -283,7 +294,7 @@ def coupled_ensemble(
     pert: Perturbation,
     cfg: SolveConfig,
     *,
-    max_trace_points: int = 1025,
+    max_trace_points: int = _TRACE_POINTS,
 ) -> list[CoupledRun]:
     """Vectorized coupled pairs, one per seed, sharing generated noise.
 

@@ -29,26 +29,34 @@ the stop codes and indices, the horizon code and the time grid); the
 one kernel, `_integrate`, only steps, writing into the arrays it is
 handed.  It advances all paths in lockstep and checks stops and writes
 records once per sub-block of `_SUB` steps (fewer only where a block of
-increments ends).  Only its step body
-depends on the path count: numpy rows, one entry per path, or Python
-floats for a single path.  Both evaluate the one `core` definition of
-the coefficient and the scheme update (plain operators and numpy
-ufuncs, so one source serves floats and rows); the stop rule and the
-record writes are shared.  So a path solved alone is bitwise its
-ensemble row, as is iterating `step` where the grid times are exact.
+increments ends).  Only its step body depends on the path count.  Two
+or more paths step in C (`_kernel.c`, compiled at import like the noise
+library), or on numpy rows, one entry per path, where it is not built
+or fails its load-time probe; a single path steps on Python floats.
+The Python bodies evaluate the one `core` definition of the coefficient
+and the scheme update (plain operators and numpy ufuncs, so one source
+serves floats and rows); the C step repeats it operation for operation
+and calls numpy's own float64 `log` and `exp` loops, so all three round
+alike.  The stop rule and the record writes are shared.  So a path
+solved alone is bitwise its ensemble row, as is iterating `step` where
+the grid times are exact.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
+import subprocess
+import sysconfig
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .core import ChainState, SystemParams, _abs_pow, _advance, diffusion_coeff
 from .errors import ConfigError, ResourceLimitError
-from .noise import MAX_LEVEL, BrownianPath, _BlockStream, at_level
+from .noise import MAX_LEVEL, BrownianPath, _BlockStream, _build_native, at_level
 
 __all__ = [
     "Scheme",
@@ -70,6 +78,55 @@ _BLOCK_BUDGET = 1_600_000_000
 # Steps the kernel advances between two stop checks and record
 # writes (one sub-block).
 _SUB = 32
+
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+
+
+def _probe(lib: ctypes.CDLL) -> bool:
+    """Whether the library's |x|^alpha is bitwise `_abs_pow`'s on zeros,
+    subnormals, 1.0, huge values, infinities, NaN, scattered bit patterns
+    and values of the band range, at two alphas."""
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    special = [0.0, 1.0, tiny, 2.0**-1022, 2.0**-1022 - tiny, huge, 1e300, math.inf, math.nan]
+    bits = np.arange(1, 2049, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    frac = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    band = np.ldexp(frac + 0.5, (bits % np.uint64(64)).astype(np.int64) - 32)
+    x = np.concatenate([special, np.negative(special), bits.view(np.float64), band, -band])
+    got = np.empty_like(x)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for alpha in (0.9, 0.7654321):
+            lib.abs_pow_rows(x.ctypes.data, x.size, alpha, got.ctypes.data)
+            if got.tobytes() != _abs_pow(x, alpha).tobytes():
+                return False
+    return True
+
+
+def _load_kernel(cache: Path):
+    """The compiled lockstep step (`_kernel.c`'s step_rows), or None when
+    it cannot be built or loaded, cannot bind numpy's float64 log and exp
+    loops, or fails the probe."""
+    # numpy's version rides in the command, so an upgrade rebuilds on its headers
+    flags = ("-I", np.get_include(), "-I", sysconfig.get_config_var("INCLUDEPY") or "",
+             f"-DCHAINSDE_NUMPY={np.__version__}")
+    try:
+        lib = ctypes.CDLL(str(_build_native(cache, _KERNEL_SOURCE, flags)))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    lib.bind_loops.argtypes = [ctypes.py_object, ctypes.py_object]
+    lib.abs_pow_rows.argtypes = [ptr, i64, f64, ptr]
+    lib.abs_pow_rows.restype = None
+    lib.step_rows.argtypes = [i64, i64, i64, ptr, i64, f64, f64, ctypes.c_int, ptr, ptr, ptr,
+                              ptr, ptr, ptr]
+    lib.step_rows.restype = None
+    if lib.bind_loops(np.log, np.exp) != 0 or not _probe(lib):
+        return None
+    return lib.step_rows
+
+
+# The compiled step of two or more paths, or None for the numpy rows;
+# nothing else selects it.
+_kernel = _load_kernel(Path(__file__).with_name("__pycache__"))
 
 
 class Scheme(enum.Enum):
@@ -299,20 +356,24 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
     over the (paths, w) time `blocks`, writing the records, stop codes and
     stop indices in place.
 
-    Each step evaluates the core coefficient and scheme update, on numpy
-    rows (one entry per path) or, for a single path, on Python floats.
-    The steps run in sub-blocks of `_SUB` (fewer only where a block ends)
-    with no stop check in between, keeping each step's state and anchors
-    by reference (no state or anchor array is written in place).  A
-    sub-block's states are then stacked into one buffer, classified at
-    once (`stops`) and written to the records.  A stopped path's noise is
-    zeroed.  A held path simply steps on; when the kernel ends, its saved
-    stop state is written over its later records.  Once every path is
+    Each step evaluates the core coefficient and scheme update: for two
+    or more paths in C (`_kernel`, on numpy's own log and exp loops) or,
+    without it, on numpy rows (one entry per path, the C step's oracle);
+    for a single path on Python floats.  The steps run in sub-blocks of
+    `_SUB` (fewer only where a block ends) with no stop check in between.
+    The Python bodies keep each step's state and anchors by reference (no
+    state or anchor array is written in place); the C step writes each
+    step's state and anchors into buffers.  A sub-block's states are
+    stacked into one buffer, classified at once (`stops`) and written to
+    the records.  A stopped path's noise is zeroed.  A held path simply
+    steps on; when the kernel ends, its saved stop state is written over
+    its later records.  Once every path is
     held no more steps are taken, but the blocks are still consumed: a
     stream may sum coarse increments as it is walked.  Where a path
     stopped and evolves on, the rows after its stop were stepped with its
-    noise on, so the kernel resumes from that row.  The anchor time is one
-    float while every path not held moved at the same step.  Blocks are
+    noise on, so the kernel resumes from that row.  In the numpy rows the
+    anchor time is one float while every path not held moved at the same
+    step; the C step keeps every anchor per path.  Blocks are
     consumed in time order; the state, anchors, stops and record index
     carry over.
     """
@@ -334,6 +395,18 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
     all_noisy = True
     held = []  # (path, stop index, stop state) of each held path
     n_held = 0
+
+    kernel = None if one else _kernel
+    if kernel is not None:
+        # the C step's start state and anchors (ax, ay, at), each step's
+        # anchors, and its scratch; it reads the `quiet` flags as bytes
+        start = np.ascontiguousarray(init.T)
+        start_anchors = np.zeros((3, M))
+        start_anchors[:2] = start[:2]
+        anchor_rows = np.empty((_SUB, 3, M))
+        coef = np.empty(M)
+        buffers = tuple(a.ctypes.data for a in (quiet, start, start_anchors, stacked,
+                                                anchor_rows, coef))
 
     def stops(states, idx):
         """Apply the stops among paths not yet stopped in `states`, stacked
@@ -398,7 +471,10 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
             while i < inc_t.shape[0] and n_held < M:
                 n = min(_SUB, inc_t.shape[0] - i)
                 states, anchors = [], []
-                if one:
+                if kernel is not None:
+                    kernel(M, d, n, inc_t.ctypes.data + 8 * M * i, k + 1, h, alpha,
+                           drift_exact, *buffers)
+                elif one:
                     # the same step on floats; the path's noise changes
                     # only in `stops`
                     noisy = not quiet[0]
@@ -439,8 +515,12 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
                     np.concatenate(states, out=stacked[:n].reshape(-1))
                 last = stops(stacked[:n], k + 1)
                 record(k, last + 1)
-                s = tuple(stacked[last, :, 0].tolist()) if one else tuple(stacked[last].copy())
-                ax, ay, at = anchors[last]
+                if kernel is not None:
+                    start[...] = stacked[last]
+                    start_anchors[...] = anchor_rows[last]
+                else:
+                    s = tuple(stacked[last, :, 0].tolist()) if one else tuple(stacked[last].copy())
+                    ax, ay, at = anchors[last]
                 del states, anchors
                 k += last + 1
                 i += last + 1
@@ -448,6 +528,12 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
             inc_t = dB = None
         for p, idx, state in held:
             rec[p, idx // stride + 1 :] = state
+
+
+def _block_bytes(paths: int, width: int, n_steps: int, record_stride: int, dim: int) -> int:
+    """Bytes one lockstep solve holds against `_BLOCK_BUDGET`: one block of
+    `width` increments plus the records."""
+    return 8 * paths * width + 8 * paths * (n_steps // record_stride + 1) * dim
 
 
 def integrate_block(
@@ -490,7 +576,7 @@ def integrate_block(
             raise ValueError(f"initial_coords must have shape ({M}, {d})")
         if not np.all(np.isfinite(initial_coords)):
             raise ValueError("initial coordinates must be finite")
-    footprint = 8 * M * width + 8 * M * (n_steps // record_stride + 1) * d
+    footprint = _block_bytes(M, width, n_steps, record_stride, d)
     if footprint > _BLOCK_BUDGET:
         raise ResourceLimitError(
             f"block needs {footprint} bytes (> {_BLOCK_BUDGET}); split it into chunks"

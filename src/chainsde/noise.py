@@ -74,8 +74,14 @@ __all__ = [
 # Memory budget: one level-24 path holds 2^24 increments (128 MiB).
 MAX_LEVEL = 24
 
-# Cells (paths x steps) of one block of a streamed increment matrix (16 MiB).
-_BLOCK_CELLS = 2**21
+# Cells (paths x steps) of one block of a streamed increment matrix (8 MiB;
+# refining it holds about four times that).
+_BLOCK_CELLS = 2**20
+
+# Cells (paths x steps) of a block summed at a time when a stream
+# records a coarser level, at least one recorded cell of steps: the
+# buffers of the halvings hold 0.75 times as many doubles (768 KiB).
+_SUM_CELLS = 2**17
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -86,32 +92,34 @@ _SOURCE = Path(__file__).with_name("_noise.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math")
 
 
-def _build_native(cache: Path) -> Path:
-    """The compiled `_noise.c` in directory `cache`, built first if absent.
+def _build_native(cache: Path, source: Path = _SOURCE, flags: tuple[str, ...] = ()) -> Path:
+    """The compiled C `source` in directory `cache`, built first if absent.
 
-    The file name hashes the source, the compiler command and flags and
-    the platform, so a library built from other inputs is never loaded.
-    The compiler writes a temporary file that is then renamed into
-    place, so concurrent builds leave one whole library; a new build
-    removes the other `_noise-*.so` in `cache`.  Raises OSError when no
-    compiler is configured or runs, SubprocessError when the build fails.
+    `flags` are added to the shared flags.  The file name is the
+    source's stem and a hash of the source, the compiler command and
+    flags and the platform, so a library built from other inputs is
+    never loaded.  The compiler writes a temporary file that is then
+    renamed into place, so concurrent builds leave one whole library; a
+    new build removes the other libraries of the same stem in `cache`
+    and no others.  Raises OSError when no compiler is configured or
+    runs, SubprocessError when the build fails.
     """
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc:
         raise OSError("Python names no C compiler")
-    cmd = [*cc, *_CFLAGS]
-    key = _SOURCE.read_bytes() + repr((cmd, sysconfig.get_platform())).encode()
-    lib = cache / f"_noise-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    cmd = [*cc, *_CFLAGS, *flags]
+    key = source.read_bytes() + repr((cmd, sysconfig.get_platform())).encode()
+    lib = cache / f"{source.stem}-{hashlib.sha256(key).hexdigest()[:16]}.so"
     if not lib.exists():
         cache.mkdir(exist_ok=True)
         tmp = cache / f".{lib.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
         try:
-            subprocess.run([*cmd, "-o", str(tmp), str(_SOURCE), "-lm"], check=True,
+            subprocess.run([*cmd, "-o", str(tmp), str(source), "-lm"], check=True,
                            capture_output=True, timeout=120)
             os.replace(tmp, lib)
         finally:
             tmp.unlink(missing_ok=True)
-        for stale in cache.glob("_noise-*.so"):
+        for stale in cache.glob(f"{source.stem}-*.so"):
             if stale != lib:
                 stale.unlink(missing_ok=True)
     return lib
@@ -414,6 +422,12 @@ def generate_matrix(seeds, horizon: float, level: int) -> np.ndarray:
     return _refine_rows(_gaussians(seeds, 0, 0, 1, math.sqrt(horizon)), seeds, horizon, 0, 0, level)
 
 
+def _block_width(paths: int, level: int) -> int:
+    """Steps of one `_BlockStream` block: the largest power of two with
+    paths * width <= _BLOCK_CELLS, capped at 2^level."""
+    return min(2**level, 1 << max(0, (_BLOCK_CELLS // paths).bit_length() - 1))
+
+
 class _BlockStream:
     """The level-`level` increment rows of `seeds`, produced in aligned time blocks.
 
@@ -442,7 +456,7 @@ class _BlockStream:
         self.zero = zero
         m = len(self.seeds)
         self.shape = (m, 2**level)
-        self.width = min(2**level, 1 << max(0, (_BLOCK_CELLS // m).bit_length() - 1))
+        self.width = _block_width(m, level)
         self.record_level = record_level
         self.recorded = None
         if record_level is not None:
@@ -462,6 +476,14 @@ class _BlockStream:
             mid = self.level - halvings
             per = width >> halvings
             stage = self.recorded if mid == self.record_level else np.empty((m, 2**mid))
+            # a block is summed a tile of steps at a time (a power of two,
+            # at most _SUM_CELLS cells unless one recorded cell is more),
+            # so that its halvings stay in cache; those before the last
+            # alternate between two step-major buffers, made once per pass,
+            # and the last writes into `stage`
+            fit = 1 << max(0, (_SUM_CELLS // m).bit_length() - 1)
+            tile = min(width, max(fit, 1 << halvings))
+            sums = [np.empty((tile >> k, m)).T for k in (1, 2)]
 
         def block(c):
             if cells is None:
@@ -471,7 +493,18 @@ class _BlockStream:
                     cells[:, c : c + 1], self.seeds, self.horizon, top, c, depth, step_major=True
                 )
             if stage is not None:
-                stage[:, c * per : (c + 1) * per] = _pairwise_sums(out, halvings)
+                # _pairwise_sums(out, halvings), with no temporary per halving
+                for t in range(0, width, tile):
+                    rows = out[:, t : t + tile]
+                    lo = (c * width + t) >> halvings
+                    dest = stage[:, lo : lo + (tile >> halvings)]
+                    if halvings == 0:
+                        dest[...] = rows
+                    for k in range(halvings):
+                        half = rows.shape[1] // 2
+                        into = dest if k == halvings - 1 else sums[k % 2][:, :half]
+                        np.add(rows[:, 0::2], rows[:, 1::2], out=into)
+                        rows = into
             return out
 
         # Yield the call itself: a local name would keep each block alive

@@ -53,7 +53,7 @@ from .analysis import (
     evaluate_case_bounds,
     excursion_scan,
 )
-from .config import ExperimentConfig
+from .config import CHUNK, ExperimentConfig
 from .coupling import (
     InitJitter,
     coupled_ensemble,
@@ -67,10 +67,6 @@ from .noise import generate, path_seed, save_path
 from .stopping import guaranteed_window
 
 __all__ = ["run", "parse_perturbation", "CHUNK"]
-
-# paths per worker task; fixed so chunking (and therefore output bytes)
-# never depends on the worker count
-CHUNK = 256
 
 # trace.csv rows formatted and written at a time
 _WRITE_BLOCK = 8192
@@ -230,10 +226,8 @@ def _seeds(config: ExperimentConfig) -> list[int]:
 
 def _simulate_task(arg):
     config, seeds = arg
-    # the config checked that a given stride divides the step count
-    stride = config.trace_stride or max(1, 2**config.level // 128)
     ens = solve_ensemble(config.system_params, config.solve_config, seeds,
-                         record_stride=stride)
+                         record_stride=config.record_stride)
     return ens.times, ens.coords, ens.stop_reasons, ens.stop_indices
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from chainsde import noise
+from chainsde import integrator, noise
 
 
 @pytest.fixture
@@ -8,3 +8,8 @@ def numpy_backend(monkeypatch):
     """Run the noise on the numpy path, as without a C compiler."""
     monkeypatch.setattr(noise, "_lib", None)
 
+
+@pytest.fixture
+def numpy_rows(monkeypatch):
+    """Step two or more paths on numpy rows, as without the compiled kernel."""
+    monkeypatch.setattr(integrator, "_kernel", None)

@@ -9,7 +9,7 @@ from typing import get_type_hints
 
 import pytest
 
-from chainsde import runner
+from chainsde import config, integrator, runner
 from chainsde.cli import _resolve_config, build_parser, main
 from chainsde.config import COMMANDS, ExperimentConfig, parse_config_file
 from chainsde.errors import ConfigError
@@ -161,6 +161,46 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("chainsde: config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, names", [
+        (["excursions", "--level", "20", "--ensemble", "256"], ("level", "ensemble")),
+        (["bounds", "--band-n", "540", "--level", "4", "--ensemble", "2"], ("band_n",)),
+    ], ids=["excursions-over-budget", "bounds-window-underflow"])
+    def test_rejected_naming_the_field(self, tmp_path, capsys, argv, names):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chainsde: config error:")
+        assert all(name in err for name in names)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--level", "7"],
+        ["simulate", "--level", "7", "--trace-stride", "2"],
+        ["excursions", "--level", "7"],
+        ["bounds", "--level", "7"],
+        ["converge", "--levels", "4,6", "--level-ref", "9"],
+        ["couple", "--perturbation", "resolution:8,5", "--level", "5"],
+        ["couple", "--perturbation", "jitter:1e-3", "--level", "11"],
+    ], ids=" ".join)
+    def test_memory_gate_is_the_run_budget(self, tmp_path, monkeypatch, capsys, argv):
+        # the gate admits a budget exactly when every solve of the run fits it
+        argv = [*argv, "--ensemble", "3"]
+        seen = []
+        block_bytes = integrator._block_bytes
+
+        def recorded(*args):
+            seen.append(block_bytes(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(integrator, "_block_bytes", recorded)
+        assert main([*argv, "--out", str(tmp_path / "run")]) in (0, 1)
+        monkeypatch.setattr(config, "_BLOCK_BUDGET", max(seen))
+        assert main([*argv, "--out", str(tmp_path / "fits")]) in (0, 1)
+        monkeypatch.setattr(config, "_BLOCK_BUDGET", max(seen) - 1)
+        assert main([*argv, "--out", str(tmp_path / "over")]) == 2
+        assert "ensemble 3" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
 
     def test_gate_checks_only_what_the_command_builds(self, tmp_path):
         # bounds solves on its own window config, which takes no origin_eps

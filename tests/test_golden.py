@@ -3,8 +3,8 @@
 Each case runs the CLI in-process and hashes (sha256) its `trace.csv`,
 its `summary.json` without the `out_dir` echo, and every
 `paths/*.bpath` dump.  Every case runs with CHAINSDE_WORKERS 1 and 2,
-and one case also on the numpy noise path; all must match the one table
-entry of the case.
+one case also on the numpy noise path and one with the lockstep rows on
+numpy; all must match the one table entry of the case.
 
 The bits depend on the machine (numpy's SIMD `exp`/`log` and glibc's
 `log` inside `ndtri`), so the table also records a fingerprint of what
@@ -117,6 +117,12 @@ def test_outputs_match_table(table, name, workers, tmp_path, monkeypatch):
 def test_numpy_noise_matches_table(table, numpy_backend, tmp_path, monkeypatch):
     monkeypatch.setenv("CHAINSDE_WORKERS", "1")
     assert digests("simulate_dump", tmp_path / "out") == table["simulate_dump"]
+
+
+def test_numpy_rows_match_table(table, numpy_rows, tmp_path, monkeypatch):
+    # the lockstep rows on numpy, as without the compiled kernel
+    monkeypatch.setenv("CHAINSDE_WORKERS", "1")
+    assert digests("bounds", tmp_path / "out") == table["bounds"]
 
 
 def _regenerate() -> None:

@@ -220,6 +220,11 @@ class TestScalarVectorConsistency:
             assert np.array_equal(single.coords, full.coords)
 
 
+@pytest.mark.usefixtures("numpy_rows")
+class TestScalarVectorConsistencyNumpyRows(TestScalarVectorConsistency):
+    """The same agreement with the ensemble stepped on numpy rows."""
+
+
 class TestSharedArithmetic:
     """The public step, drift_flow and diffusion_coeff round as the kernel does."""
 
@@ -462,14 +467,22 @@ class TestSubBlockEdges:
                 assert np.all(ens.coords[i, k:] == ens.coords[i, k])
 
     def test_fully_held_solve_stops_stepping(self, monkeypatch, sub):
-        advance = integrator._advance
+        # counts the steps taken: `_advance` calls of the Python bodies and
+        # the steps asked of the compiled one
+        advance, kernel = integrator._advance, integrator._kernel
         calls = []
 
         def counted(*args):
             calls.append(None)
             return advance(*args)
 
+        def counted_kernel(m, d, n, *args):
+            calls.extend([None] * n)
+            return kernel(m, d, n, *args)
+
         monkeypatch.setattr(integrator, "_advance", counted)
+        if kernel is not None:
+            monkeypatch.setattr(integrator, "_kernel", counted_kernel)
         stops = self._ALL_STOPPED
         par, init, inc = self._case(stops, n_noisy=0, steps=260)
         cfg = SolveConfig(level=8, band_n=1, max_time=1.0)
@@ -518,3 +531,8 @@ class TestSubBlockEdges:
             single = solve(par, generate(s, 4.0, 8), cfg)
             assert single.stop_index == ens.stop_indices[i]
             assert single.coords.tobytes() == ens.trajectory(i).coords.tobytes()
+
+
+@pytest.mark.usefixtures("numpy_rows")
+class TestSubBlockEdgesNumpyRows(TestSubBlockEdges):
+    """The same edges with two or more paths stepped on numpy rows."""

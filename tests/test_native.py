@@ -1,5 +1,6 @@
-"""The compiled noise library: its Philox words, its agreement with the
-numpy path, its build, and the numpy path taking over without a compiler."""
+"""The compiled libraries: the noise library's Philox words and its
+agreement with the numpy path, the builds of the noise and kernel
+libraries, and the numpy paths taking over without a compiler."""
 
 import ctypes
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainsde import noise
+from chainsde import integrator, noise
 from chainsde.cli import main
 from chainsde.noise import _uniforms, generate_matrix, path_seed, refine
 
@@ -98,6 +99,38 @@ def test_new_build_removes_stale_libraries(tmp_path):
     (cache / "other.so").write_bytes(b"kept")
     lib = noise._build_native(cache)
     assert sorted(f.name for f in cache.iterdir()) == sorted([lib.name, "other.so"])
+
+
+def test_each_build_removes_only_its_own_stale_libraries(tmp_path):
+    if not compiler():
+        pytest.skip("no C compiler on PATH")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for stem in ("_noise", "_kernel"):
+        (cache / f"{stem}-0000000000000000.so").write_bytes(b"stale")
+    lib = noise._build_native(cache)
+    assert sorted(f.name for f in cache.iterdir()) == sorted(
+        [lib.name, "_kernel-0000000000000000.so"])
+    assert integrator._load_kernel(cache) is not None
+    kernel = [f.name for f in cache.glob("_kernel-*.so")]
+    assert len(kernel) == 1 and kernel != ["_kernel-0000000000000000.so"]
+    assert sorted(f.name for f in cache.iterdir()) == sorted([lib.name, *kernel])
+
+
+def test_failed_kernel_build_keeps_noise_library(tmp_path):
+    if not compiler():
+        pytest.skip("no C compiler on PATH")
+    pkg = tmp_path / "src" / "chainsde"
+    shutil.copytree(PACKAGE, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    (pkg / "_kernel.c").write_text("this is not C\n")
+    env = {**os.environ, "PYTHONPATH": str(pkg.parent)}
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "from chainsde import integrator, noise; print(noise._lib is None, integrator._kernel)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.split() == ["False", "None"]
+    assert [f.name.split("-")[0] for f in (pkg / "__pycache__").glob("*.so")] == ["_noise"]
 
 
 _CASES = {

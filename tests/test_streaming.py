@@ -80,6 +80,18 @@ class TestBlockStream:
         want = _pairwise_sums(generate_matrix(SEEDS, 0.7, 9), 9 - record_level)
         assert np.array_equal(bits(stream.recorded), bits(want))
 
+    @pytest.mark.parametrize("sum_cells", [5, 17, 23, 80])
+    @pytest.mark.parametrize("record_level", [0, 4, 7, 9])
+    def test_recorded_sums_tile_by_tile(self, monkeypatch, sum_cells, record_level):
+        # a 64-step block of 5 paths summed in tiles of 1, 2, 4 and 16 steps
+        monkeypatch.setattr(noise, "_SUM_CELLS", sum_cells)
+        set_width(monkeypatch, len(SEEDS), 64)
+        stream = _BlockStream(SEEDS, 0.7, 9, record_level=record_level)
+        for _ in stream:
+            pass
+        want = _pairwise_sums(generate_matrix(SEEDS, 0.7, 9), 9 - record_level)
+        assert np.array_equal(bits(stream.recorded), bits(want))
+
     def test_zero_stream(self, monkeypatch):
         set_width(monkeypatch, len(SEEDS), 4)
         blocks = list(_BlockStream(SEEDS, 0.7, 5, zero=True))
@@ -87,10 +99,10 @@ class TestBlockStream:
         assert all(not b.any() for b in blocks)
 
     def test_width_budget(self):
-        # 2^21 cells a block: 2^13 steps at 256 paths, capped at the row length
-        assert _BlockStream(SEEDS[:1] * 256, 1.0, 18).width == 2**13
-        assert _BlockStream(SEEDS[:1] * 256, 1.0, 12).width == 2**12
-        assert _BlockStream(SEEDS[:1] * 3, 1.0, 24).width == 2**19
+        # 2^20 cells a block: 2^12 steps at 256 paths, capped at the row length
+        assert _BlockStream(SEEDS[:1] * 256, 1.0, 18).width == 2**12
+        assert _BlockStream(SEEDS[:1] * 256, 1.0, 11).width == 2**11
+        assert _BlockStream(SEEDS[:1] * 3, 1.0, 24).width == 2**18
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -187,10 +199,15 @@ class TestWidthIndependence:
         assert_same_ensemble(coarse, want)
 
 
+@pytest.mark.usefixtures("numpy_rows")
+class TestWidthIndependenceNumpyRows(TestWidthIndependence):
+    """The same solves with two or more paths stepped on numpy rows."""
+
+
 def test_memory_does_not_grow_with_level(monkeypatch):
     # The block width is pinned to the level-13 row length, so level 13
     # is one block and level 16 eight; the default width would make the
-    # level-16 blocks four times wider than the whole level-13 matrix.
+    # level-16 blocks twice as wide as the whole level-13 matrix.
     # A jitter pair runs both solves at one level: neither may hold the
     # whole increment matrix.
     par = params_at((0.0, 1.0, 0.0))
