@@ -1,7 +1,7 @@
 /* The lockstep step of chainsde.integrator for two or more paths.
 
-   step_rows repeats the numpy rows body of integrator._integrate
-   operation for operation, so its results are bitwise equal to it.  The
+   step_rows repeats integrator._step_rows, the numpy rows step, operation
+   for operation, so its results are bitwise equal to it.  The
    coefficient |x|^alpha is exp(alpha * log|x|), in core._abs_pow's
    order, evaluated by numpy's own float64 log and exp loops: bind_loops
    reads them from the ufunc objects, and abs_pow_rows lets the loader
@@ -9,9 +9,10 @@
    without -ffast-math: a fused multiply-add or a reassociation would
    change the bits.
 
-   Arrays are C-contiguous float64, one entry per path in each row: a
-   state is (d, m), the anchors (ax, ay, at) are (3, m), and row i of
-   the increments holds step i's increment of every path. */
+   Arrays are C-contiguous, one entry per path in each row: a state is
+   (d, m) float64, the anchors (ax, ay, at) are (3, m) float64, row i of
+   the increments holds step i's increment of every path, and the stop
+   indices are m int64. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -22,6 +23,7 @@
 #include <fenv.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 static PyUFuncGenericFunction log_loop, exp_loop;
 static void *log_data, *exp_data;
@@ -80,42 +82,45 @@ void abs_pow_rows(const double *x, int64_t m, double alpha, double *out)
 }
 
 /* Advance m paths of order d over n steps, the first of them to grid
-   index j0, from `state` and `anchors`.  Step i writes its state to
-   stacked + i*d*m and its anchors to anchor_rows + i*3*m; `state` and
-   `anchors` are only read.  A quiet path (quiet[p] != 0) takes
-   dlast = 0.0.  With `exact` a path's drift rows are the exact flow from
-   its anchor over t - at, with t = j * h, and its anchor moves to the new
-   state iff its dlast != 0; otherwise forward Euler over h.  `coef`
-   holds m doubles of scratch. */
+   index j0, from `state` and `anchors`, which are only read.  Step i
+   writes its state to stacked + i*d*m; the anchors are copied to
+   end_anchors and move there, so it holds them after the last step.  A
+   path's noise is off past its stop index: it takes dlast = 0.0 at grid
+   index j > stop_idx[p].  With `exact` a path's drift rows are the exact
+   flow from its anchor over t - at, with t = j * h, and its anchor moves
+   to the new state iff its dlast != 0; otherwise forward Euler over h.
+   `coef` holds m doubles of scratch. */
 void step_rows(int64_t m, int64_t d, int64_t n, const double *inc, int64_t j0, double h,
-               double alpha, int exact, const uint8_t *quiet, const double *state,
-               const double *anchors, double *stacked, double *anchor_rows, double *coef)
+               double alpha, int exact, const int64_t *stop_idx, const double *state,
+               const double *anchors, double *stacked, double *end_anchors, double *coef)
 {
-    const double *s = state, *a = anchors;
+    const double *s = state;
+    double *a = end_anchors;
+    memcpy(a, anchors, 3 * m * sizeof(double));
     for (int64_t i = 0; i < n; i++) {
         const double *dB = inc + i * m;
-        double *o = stacked + i * d * m, *b = anchor_rows + i * 3 * m;
-        double t = (double)(j0 + i) * h;
+        double *o = stacked + i * d * m;
+        int64_t j = j0 + i;
+        double t = (double)j * h;
         abs_pow(s, m, alpha, coef);
         for (int64_t p = 0; p < m; p++) {
-            double dlast = quiet[p] ? 0.0 : coef[p] * dB[p];
-            double ax = a[p], ay = a[m + p], at = a[2 * m + p];
+            double dlast = j > stop_idx[p] ? 0.0 : coef[p] * dB[p];
             double x = s[p], y = s[m + p];
             if (d == 3) {
                 double z = s[2 * m + p];
                 if (exact) {
-                    double dt = t - at;
-                    x = ax + dt * ay + (0.5 * (dt * dt)) * z;
-                    y = ay + dt * z;
+                    double dt = t - a[2 * m + p];
+                    x = a[p] + dt * a[m + p] + (0.5 * (dt * dt)) * z;
+                    y = a[m + p] + dt * z;
                 } else {
                     x = x + h * y;
                     y = y + h * z;
                 }
                 o[2 * m + p] = z + dlast;
             } else if (exact) {
-                double dt = t - at;
-                x = ax + dt * ay;
-                y = ay + dlast;
+                double dt = t - a[2 * m + p];
+                x = a[p] + dt * a[m + p];
+                y = a[m + p] + dlast;
             } else {
                 x = x + h * y;
                 y = y + dlast;
@@ -123,16 +128,12 @@ void step_rows(int64_t m, int64_t d, int64_t n, const double *inc, int64_t j0, d
             o[p] = x;
             o[m + p] = y;
             if (exact && dlast != 0.0) {
-                ax = x;
-                ay = y;
-                at = t;
+                a[p] = x;
+                a[m + p] = y;
+                a[2 * m + p] = t;
             }
-            b[p] = ax;
-            b[m + p] = ay;
-            b[2 * m + p] = at;
         }
         s = o;
-        a = b;
     }
     feclearexcept(FE_ALL_EXCEPT);
 }

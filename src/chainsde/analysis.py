@@ -251,6 +251,12 @@ class ConvergenceResult:
     all_exact: bool
 
 
+def _reference_stride(levels, level_ref: int) -> int:
+    """Record stride of converge's level_ref run: one record per step of
+    the finest of `levels`."""
+    return 2 ** (level_ref - max(levels))
+
+
 def convergence_errors(
     params: SystemParams,
     cfg: SolveConfig,
@@ -269,7 +275,7 @@ def convergence_errors(
     errors = np.zeros((len(levels), len(seeds)))
     ref = solve_ensemble(
         params, replace(cfg, level=level_ref), seeds,
-        record_stride=2 ** (level_ref - max(levels)),
+        record_stride=_reference_stride(levels, level_ref),
     )
     for j, lv in enumerate(levels):
         run = solve_ensemble(params, replace(cfg, level=lv), seeds)

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
+from .analysis import _reference_stride
 from .core import ChainState, SystemParams
 from .coupling import _TRACE_POINTS, _pair_grids, _pair_setup, parse_perturbation
 from .errors import ConfigError
@@ -149,7 +150,8 @@ class ExperimentConfig:
         if self.command == "converge":
             for lv in (*self.levels, self.level_ref):
                 replace(cfg, level=lv)
-            self._check_memory([(self.level_ref, None, 2 ** (self.level_ref - max(self.levels))),
+            ref_stride = _reference_stride(self.levels, self.level_ref)
+            self._check_memory([(self.level_ref, None, ref_stride),
                                 *((lv, None, 1) for lv in self.levels)])
         if self.command == "simulate":
             if 2**self.level % (self.trace_stride or 1):

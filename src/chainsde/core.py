@@ -12,7 +12,8 @@ diffusion coefficient |x|^alpha, the mean-value upper bound used in
 divergence estimates, and the exact flow of the drift subsystem with the
 last coordinate frozen.  The coefficient and the one-step scheme update
 are defined here once (`_abs_pow`, `_advance`) for floats and numpy rows
-alike; the public functions and the kernel's two step bodies evaluate them.
+alike; the public functions and the integrator's Python step bodies
+evaluate them, and its C step repeats them operation for operation.
 All arithmetic is 64-bit binary floating point.
 """
 
@@ -112,9 +113,9 @@ def _abs_pow(x, alpha):
     """|x|^alpha as exp(alpha * ln|x|), for a float or a numpy row.
 
     This is the one evaluation of the coefficient: the public
-    `diffusion_coeff` and the kernel's two step bodies call it.  ln 0 = -inf
-    gives exactly 0.0 at the origin; callers evaluate it under
-    np.errstate(divide="ignore").
+    `diffusion_coeff` and the integrator's Python step bodies call it.
+    ln 0 = -inf gives exactly 0.0 at the origin; callers evaluate it
+    under np.errstate(divide="ignore").
     """
     return np.exp(alpha * np.log(abs(x)))
 
@@ -152,7 +153,7 @@ def _advance(coords, h, dlast, exact):
     (x + h y, y + h z).  At chain order 2 both read (x + h y, y + dlast).
     The coordinates are floats or numpy rows (one entry per path): this
     one source is the arithmetic of `step`, `drift_flow` and the
-    kernel's two step bodies, so they round alike.
+    integrator's Python step bodies, so they round alike.
     """
     if len(coords) == 2:
         x, y = coords

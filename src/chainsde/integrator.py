@@ -15,31 +15,31 @@ Stopping predicates are evaluated at grid points only, in the fixed
 priority order origin > inner band > outer band > blowup, with the
 horizon assigned to paths that never trigger one.  The first grid time
 of a violation is the recorded stop time, a resolution-dependent
-approximation of the continuous first-hitting time.  After a band stop
-the noise is switched off, and with `continue_after_stop` the drift
-continues to the horizon (the truncated system); otherwise the
-trajectory is cut at the stop point.  Such a *held* path (any stop
-without `continue_after_stop`, and every blowup) needs no per-step mask:
-it steps on without noise, its records after the stop are set to its
-stop state when the solve ends, and a solve whose paths are all held
-stops stepping.
+approximation of the continuous first-hitting time.  A stopped path's
+noise is off past its stop index.  With `continue_after_stop` the drift
+of a band-stopped path continues to the horizon (the truncated system);
+otherwise the trajectory is cut at the stop point.  Such a *held* path
+(any stop without `continue_after_stop`, and every blowup) steps on
+without noise, its records after the stop are set to its stop state
+when the solve ends, and a solve whose paths are all held stops
+stepping.
 
 `integrate_block` owns a solve's result (the records, the t = 0 row,
 the stop codes and indices, the horizon code and the time grid); the
 one kernel, `_integrate`, only steps, writing into the arrays it is
 handed.  It advances all paths in lockstep and checks stops and writes
 records once per sub-block of `_SUB` steps (fewer only where a block of
-increments ends).  Only its step body depends on the path count.  Two
-or more paths step in C (`_kernel.c`, compiled at import like the noise
-library), or on numpy rows, one entry per path, where it is not built
-or fails its load-time probe; a single path steps on Python floats.
-The Python bodies evaluate the one `core` definition of the coefficient
-and the scheme update (plain operators and numpy ufuncs, so one source
-serves floats and rows); the C step repeats it operation for operation
-and calls numpy's own float64 `log` and `exp` loops, so all three round
-alike.  The stop rule and the record writes are shared.  So a path
-solved alone is bitwise its ensemble row, as is iterating `step` where
-the grid times are exact.
+increments ends), stepping a sub-block again only where a path stopped
+in it and evolves on.  Only its step body depends on the path count:
+two or more paths step in C (`_kernel.c`, compiled at import like the
+noise library), or on numpy rows (`_step_rows`) where it is not built or
+fails its load-time probe; a single path steps on Python floats
+(`_step_floats`).  The Python bodies evaluate the one `core` definition
+of the coefficient and the scheme update (plain operators and numpy
+ufuncs, so one source serves floats and rows); the C step repeats it
+operation for operation and calls numpy's own float64 `log` and `exp`
+loops, so all three round alike.  So a path solved alone is bitwise its
+ensemble row, as is iterating `step` where the grid times are exact.
 """
 
 from __future__ import annotations
@@ -351,104 +351,129 @@ def _stop_codes(linf, eps, inner, outer):
     return np.where(linf <= eps, np.int8(StopReason.ORIGIN_HIT), code)
 
 
+def _step_rows(inc, j0, h, alpha, exact, start, anchors, stop_idx, stacked, end_anchors, live):
+    """The numpy rows step, the C step's oracle and fallback: advance the
+    paths over the rows of `inc`, the first to grid index j0, from the
+    (d, paths) `start` and (3, paths) `anchors` (ax, ay, at).  Writes the
+    states into `stacked` (row, coordinate, path) and the anchors after
+    the last row into `end_anchors`.  A path's noise is off at grid index
+    j > stop_idx, and its anchor moves with its noise.  When as many move
+    at one step as `live`, the paths not held before this sub-block,
+    every anchor moves at once: a held path's anchor is never read again.
+    """
+    n = inc.shape[0]
+    s, (ax, ay, at) = tuple(start), anchors
+    # the paths off at step j: the same at every step unless a stop index
+    # falls inside the sub-block (it is being stepped again)
+    off, varies = stop_idx < j0, np.any((stop_idx >= j0) & (stop_idx < j0 + n - 1))
+    any_off = varies or off.any()
+    states = []
+    for j, dB in enumerate(inc, start=j0):
+        t_next = j * h
+        dlast = _abs_pow(s[0], alpha) * dB
+        if any_off:
+            np.copyto(dlast, 0.0, where=stop_idx < j if varies else off)
+        if exact:
+            s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
+            moved = np.count_nonzero(dlast)
+            if moved == live:
+                ax, ay, at = s[0], s[1], t_next
+            elif moved:
+                m = dlast != 0.0
+                ax, ay, at = np.where(m, s[0], ax), np.where(m, s[1], ay), np.where(m, t_next, at)
+        else:
+            s = _advance(s, h, dlast, False)
+        states.extend(s)
+    np.concatenate(states, out=stacked[:n].reshape(-1))
+    end_anchors[0], end_anchors[1], end_anchors[2] = ax, ay, at
+
+
+def _step_floats(inc, j0, h, alpha, exact, start, anchors, stop_idx, stacked, end_anchors, live):
+    """`_step_rows` for a single path, on Python floats."""
+    s = tuple(start.ravel().tolist())
+    ax, ay, at = anchors.ravel().tolist()
+    stop = stop_idx.item()
+    states = []
+    for j, dB in enumerate(inc[:, 0].tolist(), start=j0):
+        t_next = j * h
+        dlast = float(_abs_pow(s[0], alpha)) * dB if j <= stop else 0.0
+        if exact:
+            s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
+            if dlast != 0.0:
+                ax, ay, at = s[0], s[1], t_next
+        else:
+            s = _advance(s, h, dlast, False)
+        states.extend(s)
+    stacked[: inc.shape[0]].reshape(-1)[:] = states
+    end_anchors[0, 0], end_anchors[1, 0], end_anchors[2, 0] = ax, ay, at
+
+
 def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
     """The integration kernel: step the paths of `rec` from its t = 0 row
     over the (paths, w) time `blocks`, writing the records, stop codes and
     stop indices in place.
 
-    Each step evaluates the core coefficient and scheme update: for two
-    or more paths in C (`_kernel`, on numpy's own log and exp loops) or,
-    without it, on numpy rows (one entry per path, the C step's oracle);
-    for a single path on Python floats.  The steps run in sub-blocks of
-    `_SUB` (fewer only where a block ends) with no stop check in between.
-    The Python bodies keep each step's state and anchors by reference (no
-    state or anchor array is written in place); the C step writes each
-    step's state and anchors into buffers.  A sub-block's states are
-    stacked into one buffer, classified at once (`stops`) and written to
-    the records.  A stopped path's noise is zeroed.  A held path simply
-    steps on; when the kernel ends, its saved stop state is written over
-    its later records.  Once every path is
-    held no more steps are taken, but the blocks are still consumed: a
-    stream may sum coarse increments as it is walked.  Where a path
-    stopped and evolves on, the rows after its stop were stepped with its
-    noise on, so the kernel resumes from that row.  In the numpy rows the
-    anchor time is one float while every path not held moved at the same
-    step; the C step keeps every anchor per path.  Blocks are
-    consumed in time order; the state, anchors, stops and record index
-    carry over.
+    Each sub-block of `_SUB` steps (fewer only where a block ends) is
+    stepped by one body (`_kernel` for two or more paths, or `_step_rows`
+    without it; `_step_floats` for one) from the `start` and `anchors`
+    arrays, classified at once (`stops`) and written to the records; one
+    restore then carries its last state and end anchors on.  Where a path
+    stopped before the last row and evolves on, its later rows were
+    stepped with its noise on, so the sub-block is stepped once more from
+    the same start and not checked again: paths are independent, so every
+    other row keeps its bits.  A held path steps on; when the kernel ends,
+    its saved stop state is written over its later records.  Once every
+    path is held no more steps are taken, but the blocks are still
+    consumed: a stream may sum coarse increments as it is walked.
     """
     M, _, d = rec.shape
-    one = M == 1
-    init = rec[:, 0]
     alpha = params.alpha
     eps, inner, outer = cfg.origin_tolerance, cfg.inner_level, cfg.outer_level
     drift_exact = cfg.scheme is Scheme.DRIFT_EXACT_EM
 
     # one sub-block of states, stacked (row, coordinate, path)
     stacked = np.empty((_SUB, d, M), dtype=np.float64)
-
-    s = tuple(init[0].tolist()) if one else tuple(init[:, j].copy() for j in range(d))
-    # anchors for the drift-exact scheme; z anchors itself
-    ax, ay, at = s[0], s[1], 0.0
-
-    quiet = np.zeros(M, dtype=bool)  # paths whose noise is off: the stopped ones
-    all_noisy = True
+    # a sub-block's start state and anchors (ax, ay, at), and the anchors
+    # after it; a copy, since at one path the transpose views the t = 0 row
+    start = rec[:, 0].T.copy()
+    anchors = np.concatenate([start[:2], np.zeros((1, M))])
+    end_anchors = np.empty((3, M))
     held = []  # (path, stop index, stop state) of each held path
-    n_held = 0
 
-    kernel = None if one else _kernel
+    kernel = _kernel if M > 1 else None
+    body = _step_rows if M > 1 else _step_floats
     if kernel is not None:
-        # the C step's start state and anchors (ax, ay, at), each step's
-        # anchors, and its scratch; it reads the `quiet` flags as bytes
-        start = np.ascontiguousarray(init.T)
-        start_anchors = np.zeros((3, M))
-        start_anchors[:2] = start[:2]
-        anchor_rows = np.empty((_SUB, 3, M))
-        coef = np.empty(M)
-        buffers = tuple(a.ctypes.data for a in (quiet, start, start_anchors, stacked,
-                                                anchor_rows, coef))
+        coef = np.empty(M)  # the C step's scratch
+        buffers = tuple(a.ctypes.data for a in (stop_idx, start, anchors, stacked, end_anchors,
+                                                coef))
 
     def stops(states, idx):
-        """Apply the stops among paths not yet stopped in `states`, stacked
-        (row, coordinate, path) with row r at grid index idx + r.
+        """Apply the first stop of each path not yet stopped in `states`,
+        stacked (row, coordinate, path) with row r at grid index idx + r.
 
-        A path stops at its first row with a stop code, as it would step
-        by step, since a stop changes only the stopped path's later steps.
         A held path's stop state is saved in `held`; its later rows are
-        left as stepped.  Returns the last row still valid: the first row
-        at which a path stops and evolves on (a band stop under
-        continue_after_stop), else the last row.  Stops after that row are
-        not applied: the rows after it are stepped again.
+        left as stepped.  Returns whether a path stopped before the last
+        row and evolves on (a band stop under continue_after_stop): its
+        later rows were stepped with its noise on.
         """
-        nonlocal all_noisy, n_held
-        last = states.shape[0] - 1
         linf = _linf(states.transpose(1, 0, 2))
-        if not all_noisy:
-            # a stopped path stops no more: 1 lies inside every band
-            np.copyto(linf, 1.0, where=quiet)
         # a NaN minimum or an infinite maximum fails this band test too
         if inner < linf.min() and linf.max() < outer:
-            return last
+            return False
+        # a stopped path stops no more: 1 lies inside every band
+        np.copyto(linf, 1.0, where=stop_code != 0)
+        if inner < linf.min() and linf.max() < outer:
+            return False
         code = _stop_codes(linf, eps, inner, outer)
         paths = np.flatnonzero(code.any(axis=0))
         rows = (code[:, paths] != 0).argmax(axis=0)
         codes = code[rows, paths]
-        hold = codes == np.int8(StopReason.BLOWUP)
-        if not cfg.continue_after_stop:
-            hold[:] = True
-        elif not hold.all():
-            # a band-stopped path evolves on without noise
-            last = int(rows[~hold].min())
-            keep = rows <= last
-            paths, rows, codes, hold = paths[keep], rows[keep], codes[keep], hold[keep]
         stop_code[paths] = codes
         stop_idx[paths] = idx + rows
-        quiet[paths] = True
+        hold = (codes == np.int8(StopReason.BLOWUP)) | (not cfg.continue_after_stop)
         for p, r in zip(paths[hold].tolist(), rows[hold].tolist()):
             held.append((p, idx + r, states[r, :, p].copy()))
-        n_held = len(held)
-        all_noisy = False
-        return last
+        return bool(np.any(rows[~hold] < states.shape[0] - 1))
 
     def record(k, n):
         """Write the recorded rows among steps k+1..k+n from `stacked`."""
@@ -458,74 +483,38 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
             r0 = (k + 1 + first) // stride
             rec[:, r0 : r0 + rows.shape[0]] = rows.transpose(2, 0, 1)
 
+    def step(i, n, live):
+        """Step rows i..i+n-1 of the current block into `stacked`."""
+        if kernel is not None:
+            kernel(M, d, n, base + 8 * M * i, k + 1, h, alpha, drift_exact, *buffers)
+        else:
+            body(inc_t[i : i + n], k + 1, h, alpha, drift_exact, start, anchors, stop_idx,
+                 stacked, end_anchors, live)
+
     k = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        stacked[0] = init.T
+        stacked[0] = start
         stops(stacked[:1], 0)
         for block in blocks:
             # the hot loop reads one step's row at a time: stream blocks
             # arrive step-major and pass through, a matrix is copied
             inc_t = np.ascontiguousarray(block.T)
+            base = inc_t.ctypes.data
             del block
             i = 0
-            while i < inc_t.shape[0] and n_held < M:
+            while i < inc_t.shape[0] and len(held) < M:
                 n = min(_SUB, inc_t.shape[0] - i)
-                states, anchors = [], []
-                if kernel is not None:
-                    kernel(M, d, n, inc_t.ctypes.data + 8 * M * i, k + 1, h, alpha,
-                           drift_exact, *buffers)
-                elif one:
-                    # the same step on floats; the path's noise changes
-                    # only in `stops`
-                    noisy = not quiet[0]
-                    for j, dB in enumerate(inc_t[i : i + n, 0].tolist(), start=k + 1):
-                        t_next = j * h
-                        dlast = float(_abs_pow(s[0], alpha)) * dB if noisy else 0.0
-                        if drift_exact:
-                            s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
-                            if dlast != 0.0:
-                                ax, ay, at = s[0], s[1], t_next
-                        else:
-                            s = _advance(s, h, dlast, False)
-                        states.extend(s)
-                        anchors.append((ax, ay, at))
-                    stacked[:n].reshape(-1)[:] = states
-                else:
-                    for j, dB in enumerate(inc_t[i : i + n], start=k + 1):
-                        t_next = j * h
-                        dlast = _abs_pow(s[0], alpha) * dB
-                        if not all_noisy:
-                            np.copyto(dlast, 0.0, where=quiet)
-                        if drift_exact:
-                            s = _advance((ax, ay) + s[2:], t_next - at, dlast, True)
-                            # A path's anchor moves with its noise.  A held
-                            # path's anchor is never read again, so it may
-                            # move with the others.
-                            moved = np.count_nonzero(dlast)
-                            if moved == M - n_held:
-                                ax, ay, at = s[0], s[1], t_next
-                            elif moved:
-                                m = dlast != 0.0
-                                ax, ay = np.where(m, s[0], ax), np.where(m, s[1], ay)
-                                at = np.where(m, t_next, at)
-                        else:
-                            s = _advance(s, h, dlast, False)
-                        states.extend(s)
-                        anchors.append((ax, ay, at))
-                    np.concatenate(states, out=stacked[:n].reshape(-1))
-                last = stops(stacked[:n], k + 1)
-                record(k, last + 1)
-                if kernel is not None:
-                    start[...] = stacked[last]
-                    start_anchors[...] = anchor_rows[last]
-                else:
-                    s = tuple(stacked[last, :, 0].tolist()) if one else tuple(stacked[last].copy())
-                    ax, ay, at = anchors[last]
-                del states, anchors
-                k += last + 1
-                i += last + 1
+                live = M - len(held)
+                step(i, n, live)
+                if stops(stacked[:n], k + 1):
+                    step(i, n, live)
+                record(k, n)
+                start[...] = stacked[n - 1]
+                anchors[...] = end_anchors
+                k += n
+                i += n
             # a row view would keep this block alive while the next is drawn
-            inc_t = dB = None
+            inc_t = None
         for p, idx, state in held:
             rec[p, idx // stride + 1 :] = state
 

@@ -443,9 +443,9 @@ class _BlockStream:
     lockstep kernel reads them without a copy.
 
     With `record_level`, a pass also writes the pairwise sums of the
-    increments at that level into `recorded`, (paths, 2^record_level),
-    bitwise equal to coarsening the whole matrix; a block narrower than
-    one recorded cell is summed on across blocks.
+    increments at that level into `recorded`, (paths, 2^record_level)
+    laid out step-major, bitwise equal to coarsening the whole matrix; a
+    block narrower than one recorded cell is summed on across blocks.
     """
 
     def __init__(self, seeds, horizon: float, level: int, *, zero: bool = False,
@@ -462,7 +462,7 @@ class _BlockStream:
         if record_level is not None:
             if not 0 <= record_level <= level:
                 raise ValueError(f"record_level must lie in [0, {level}], got {record_level}")
-            self.recorded = np.empty((m, 2**record_level), dtype=np.float64)
+            self.recorded = np.empty((2**record_level, m), dtype=np.float64).T
 
     def __iter__(self):
         m, width = self.shape[0], self.width
@@ -475,7 +475,7 @@ class _BlockStream:
             halvings = min(depth, self.level - self.record_level)
             mid = self.level - halvings
             per = width >> halvings
-            stage = self.recorded if mid == self.record_level else np.empty((m, 2**mid))
+            stage = self.recorded if mid == self.record_level else np.empty((2**mid, m)).T
             # a block is summed a tile of steps at a time (a power of two,
             # at most _SUM_CELLS cells unless one recorded cell is more),
             # so that its halvings stay in cache; those before the last

@@ -407,6 +407,26 @@ def _one_path_solves_match_rows(par, cfg, inc, init, stride=1):
     return ens
 
 
+def count_steps(monkeypatch):
+    """A list that grows by one per step taken: `_advance` calls of the
+    Python bodies and the steps asked of the compiled one."""
+    advance, kernel = integrator._advance, integrator._kernel
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return advance(*args)
+
+    def counted_kernel(m, d, n, *args):
+        calls.extend([None] * n)
+        return kernel(m, d, n, *args)
+
+    monkeypatch.setattr(integrator, "_advance", counted)
+    if kernel is not None:
+        monkeypatch.setattr(integrator, "_kernel", counted_kernel)
+    return calls
+
+
 class TestSubBlockEdges:
     """Stops and records at the edges of the lockstep kernel's sub-blocks."""
 
@@ -467,22 +487,7 @@ class TestSubBlockEdges:
                 assert np.all(ens.coords[i, k:] == ens.coords[i, k])
 
     def test_fully_held_solve_stops_stepping(self, monkeypatch, sub):
-        # counts the steps taken: `_advance` calls of the Python bodies and
-        # the steps asked of the compiled one
-        advance, kernel = integrator._advance, integrator._kernel
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return advance(*args)
-
-        def counted_kernel(m, d, n, *args):
-            calls.extend([None] * n)
-            return kernel(m, d, n, *args)
-
-        monkeypatch.setattr(integrator, "_advance", counted)
-        if kernel is not None:
-            monkeypatch.setattr(integrator, "_kernel", counted_kernel)
+        calls = count_steps(monkeypatch)
         stops = self._ALL_STOPPED
         par, init, inc = self._case(stops, n_noisy=0, steps=260)
         cfg = SolveConfig(level=8, band_n=1, max_time=1.0)
@@ -493,6 +498,19 @@ class TestSubBlockEdges:
             ens = integrate_block(par, cfg, inc[rows], initial_coords=init[rows])
             assert ens.stop_indices.tolist() == stops[rows]
             assert len(calls) < last_stop + 2 * sub
+
+    def test_sub_block_is_stepped_at_most_twice(self, monkeypatch, sub):
+        # three paths stop at steps 3, 10 and 20 and evolve on: each
+        # sub-block holding such a stop is stepped once more, whatever the
+        # number of stops in it
+        calls = count_steps(monkeypatch)
+        stops = [3, 10, 20]
+        par, init, inc = self._case(stops, n_noisy=4, steps=64)
+        cfg = SolveConfig(level=8, band_n=1, max_time=1.0, continue_after_stop=True)
+        ens = integrate_block(par, cfg, inc, initial_coords=init)
+        assert ens.stop_indices[:3].tolist() == stops
+        stepped_again = {(s - 1) // sub for s in stops}
+        assert len(calls) <= 64 + sub * len(stepped_again)
 
     def test_blowup_after_band_stop_continues(self):
         # row 0 leaves the band at step 0 and overflows as it drifts on;

@@ -166,3 +166,55 @@ def test_unbound_loops_leave_kernel_off(monkeypatch):
     # a ufunc without a float64 loop cannot be bound
     monkeypatch.setattr(integrator.np, "exp", np.logical_not)
     assert integrator._load_kernel(PACKAGE_CACHE) is None
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("order", [3, 2])
+def test_one_sub_block_is_the_numpy_rows_step(order, scheme):
+    # one sub-block straight from equal start states, anchors, increments
+    # and stop indices; rows cycle through: noisy, held (stopped before
+    # the sub-block), switching off at a row inside it or at its last row,
+    # a zero coefficient (x = 0), an infinite increment, and held blown
+    # states.  Noise on a non-finite state would propagate NaNs whose sign
+    # IEEE 754 leaves open; a solve stops such a path at its first
+    # non-finite row, so the infinite increment switches its path off there.
+    n, m, j0 = 32, 27, 101
+    rng = np.random.default_rng(order)
+    start = rng.uniform(-1.5, 1.5, (order, m))
+    start[0, 4::9] = 0.0
+    start[:, 7::9] = math.inf
+    start[:, 8::9] = math.nan
+    anchors = np.vstack([rng.uniform(-1.5, 1.5, (2, m)), (j0 - rng.integers(1, 9, m)) * _H])
+    inc = rng.standard_normal((n, m)) * math.sqrt(_H)
+    inc[6, 5::9] = math.inf
+    stop_idx = np.full(m, 2**20, dtype=np.int64)
+    held = np.zeros(m, dtype=bool)
+    for first in (1, 7, 8):
+        stop_idx[first::9] = j0 - 1 - np.arange(3)
+        held[first::9] = True
+    stop_idx[2::9] = j0 + np.array([0, 5, n - 2])
+    stop_idx[3::9] = j0 + n - 1
+    stop_idx[5::9] = j0 + 6
+    exact = scheme is Scheme.DRIFT_EXACT_EM
+    given = [a.copy() for a in (inc, start, anchors, stop_idx)]
+
+    stacked_c, end_c = np.empty((n, order, m)), np.empty((3, m))
+    integrator._kernel(m, order, n, inc.ctypes.data, j0, _H, 0.9, exact, stop_idx.ctypes.data,
+                       start.ctypes.data, anchors.ctypes.data, stacked_c.ctypes.data,
+                       end_c.ctypes.data, np.empty(m).ctypes.data)
+    for live, cols in ((m, slice(None)), (m - held.sum(), ~held)):
+        # with `live` the paths not held, the rows may move a held path's
+        # anchor, which is never read again
+        stacked, end = np.empty((n, order, m)), np.empty((3, m))
+        with np.errstate(all="ignore"):
+            integrator._step_rows(inc, j0, _H, 0.9, exact, start, anchors, stop_idx, stacked,
+                                  end, live)
+        assert stacked.tobytes() == stacked_c.tobytes()
+        assert end[:, cols].tobytes() == end_c[:, cols].tobytes()
+    for a, b in zip(given, (inc, start, anchors, stop_idx)):
+        assert a.tobytes() == b.tobytes()
+    assert not np.isfinite(stacked_c[6:, -1, 5::9]).any()
+    # a path's last coordinate stays put from the row of its stop index on
+    for p in np.flatnonzero(~held & (stop_idx < j0 + n - 1)):
+        r = stop_idx[p] - j0
+        assert stacked_c[r:, -1, p].tobytes() == np.repeat(stacked_c[r, -1, p], n - r).tobytes()

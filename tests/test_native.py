@@ -133,6 +133,31 @@ def test_failed_kernel_build_keeps_noise_library(tmp_path):
     assert [f.name.split("-")[0] for f in (pkg / "__pycache__").glob("*.so")] == ["_noise"]
 
 
+def test_built_package_ships_both_libraries(tmp_path):
+    # setuptools' build_py copies only the listed package data: a copy
+    # built from it must compile and load both C sources
+    if not compiler():
+        pytest.skip("no C compiler on PATH")
+    pytest.importorskip("setuptools")
+    project = PACKAGE.parents[1]
+    if not (project / "pyproject.toml").is_file():
+        pytest.skip("not a source checkout")
+    src = tmp_path / "project"
+    shutil.copytree(PACKAGE, src / "src" / "chainsde",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(project / "pyproject.toml", src)
+    lib = tmp_path / "lib"
+    subprocess.run([sys.executable, "-c", "from setuptools import setup; setup()", "build_py",
+                    "--build-lib", str(lib)], cwd=src, check=True, capture_output=True)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import chainsde; from chainsde import integrator, noise; "
+         "print(chainsde.__file__, noise._lib is None, integrator._kernel is None)"],
+        env={**os.environ, "PYTHONPATH": str(lib)}, cwd=tmp_path, capture_output=True,
+        text=True, check=True,
+    )
+    assert probe.stdout.split() == [str(lib / "chainsde" / "__init__.py"), "False", "False"]
+
+
 _CASES = {
     "simulate": ["simulate", "--level", "6", "--ensemble", "300", "--band-n", "6"],
     "couple": ["couple", "--perturbation", "resolution:6,9", "--level", "6", "--ensemble", "300",

@@ -80,6 +80,14 @@ class TestBlockStream:
         want = _pairwise_sums(generate_matrix(SEEDS, 0.7, 9), 9 - record_level)
         assert np.array_equal(bits(stream.recorded), bits(want))
 
+    @pytest.mark.parametrize("record_level", [4, 9])
+    def test_recorded_is_step_major(self, monkeypatch, record_level):
+        # the coarse solve of a resolution pair reads it without a copy
+        set_width(monkeypatch, len(SEEDS), 64)
+        stream = _BlockStream(SEEDS, 0.7, 9, record_level=record_level)
+        assert stream.recorded.shape == (len(SEEDS), 2**record_level)
+        assert stream.recorded.T.flags.c_contiguous
+
     @pytest.mark.parametrize("sum_cells", [5, 17, 23, 80])
     @pytest.mark.parametrize("record_level", [0, 4, 7, 9])
     def test_recorded_sums_tile_by_tile(self, monkeypatch, sum_cells, record_level):
@@ -230,3 +238,23 @@ def test_memory_does_not_grow_with_level(monkeypatch):
             finally:
                 tracemalloc.stop()
         assert peaks[16] < 2 * peaks[13], (name, peaks)
+
+
+def test_coarse_solve_reads_recorded_without_copy():
+    # the coarse side of a resolution pair integrates `recorded` (2 MiB
+    # here) as it is: a step-major copy would double what it holds
+    par = params_at((0.0, 1.0, 0.0))
+    seeds = [path_seed(4, i) for i in range(64)]
+    stream = _BlockStream(seeds, 1.0, 13, record_level=12)
+    for _ in stream:
+        pass
+    cfg = SolveConfig(level=12, band_n=8, max_time=1.0)
+    tracemalloc.start()
+    try:
+        ens = integrate_block(par, cfg, stream.recorded, record_stride=2**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.recorded.nbytes == 2**21
+    assert peak < stream.recorded.nbytes // 4, peak
+    assert ens.coords.shape == (64, 17, 3)
