@@ -7,7 +7,14 @@
    reads them from the ufunc objects, and abs_pow_rows lets the loader
    probe them against core._abs_pow.  Build with -ffp-contract=off and
    without -ffast-math: a fused multiply-add or a reassociation would
-   change the bits.
+   change the bits.  One difference remains, in rows no record carries:
+   on a path still noisy on a non-finite state, a NaN plus a NaN keeps
+   the sign of the operand the instruction takes first, so a NaN here
+   may differ in sign from the numpy rows'.  The integrator holds a path
+   from its first non-finite row and overwrites its later records.
+
+   step_rows is called through ctypes, which releases the GIL, so it may
+   run while another thread draws the next block of noise.
 
    Arrays are C-contiguous, one entry per path in each row: a state is
    (d, m) float64, the anchors (ax, ay, at) are (3, m) float64, row i of

@@ -40,10 +40,21 @@ ufuncs, so one source serves floats and rows); the C step repeats it
 operation for operation and calls numpy's own float64 `log` and `exp`
 loops, so all three round alike.  So a path solved alone is bitwise its
 ensemble row, as is iterating `step` where the grid times are exact.
+The one exception is a row no record carries: on a path still noisy on
+a non-finite state, the C step and the numpy rows may give NaNs of
+different sign (a NaN plus a NaN keeps the sign of the operand the
+instruction takes first).  A path is held from its first non-finite
+row, and its later records are overwritten with its stop state.
+
+A noise stream of two or more blocks is drawn one block ahead on a
+helper thread (see `noise._BlockStream`), so the kernel steps block c
+while block c + 1 is drawn; the C step, the Philox and split calls and
+the inverse normal CDF all release the GIL.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import enum
 import math
@@ -71,8 +82,8 @@ __all__ = [
     "integrate_block",
 ]
 
-# Memory budget for one lockstep block (one block of increments plus the
-# records), bytes.
+# Memory budget for one lockstep solve (the blocks of increments it holds
+# plus the records), bytes.
 _BLOCK_BUDGET = 1_600_000_000
 
 # Steps the kernel advances between two stop checks and record
@@ -360,6 +371,8 @@ def _step_rows(inc, j0, h, alpha, exact, start, anchors, stop_idx, stacked, end_
     j > stop_idx, and its anchor moves with its noise.  When as many move
     at one step as `live`, the paths not held before this sub-block,
     every anchor moves at once: a held path's anchor is never read again.
+    Where a path is still noisy on a non-finite state, a NaN may differ in
+    sign from the C step's; no record carries such a row.
     """
     n = inc.shape[0]
     s, (ax, ay, at) = tuple(start), anchors
@@ -520,9 +533,11 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
 
 
 def _block_bytes(paths: int, width: int, n_steps: int, record_stride: int, dim: int) -> int:
-    """Bytes one lockstep solve holds against `_BLOCK_BUDGET`: one block of
-    `width` increments plus the records."""
-    return 8 * paths * width + 8 * paths * (n_steps // record_stride + 1) * dim
+    """Bytes one lockstep solve holds against `_BLOCK_BUDGET`: the blocks of
+    `width` increments it holds, two when `width < n_steps` (one stepped,
+    one drawn) and one otherwise, plus the records."""
+    blocks = 2 if width < n_steps else 1
+    return 8 * paths * width * blocks + 8 * paths * (n_steps // record_stride + 1) * dim
 
 
 def integrate_block(
@@ -538,9 +553,10 @@ def integrate_block(
 
     increments is a (paths, steps) matrix, one time block, or a noise
     block stream of that shape, which is walked one time block at a time
-    and never built whole; the memory budget counts one block plus the
-    records.  The result is allocated and finished here; the one kernel
-    only steps, on floats for a single path and on rows otherwise.
+    and never built whole; the memory budget counts the blocks in flight
+    (two for a stream of two or more, one otherwise) plus the records.
+    The result is allocated and finished here; the one kernel only
+    steps, on floats for a single path and on rows otherwise.
     initial_coords (paths, dim) overrides params.initial per path (used
     by jitter experiments).
     """
@@ -578,8 +594,12 @@ def integrate_block(
     rec[:, 0] = initial_coords
     stop_code = np.zeros(M, dtype=np.int8)
     stop_idx = np.full(M, n_steps, dtype=np.int64)
-    blocks = (increments,) if isinstance(increments, np.ndarray) else increments
-    _integrate(params, cfg, blocks, h, record_stride, rec, stop_code, stop_idx)
+    if isinstance(increments, np.ndarray):
+        _integrate(params, cfg, (increments,), h, record_stride, rec, stop_code, stop_idx)
+    else:
+        # closing the pass joins its helper thread, also when the kernel raises
+        with contextlib.closing(iter(increments)) as blocks:
+            _integrate(params, cfg, blocks, h, record_stride, rec, stop_code, stop_idx)
     stop_code[stop_code == 0] = StopReason.HORIZON_REACHED
     return EnsembleResult(
         times=h * np.arange(0, n_steps + 1, record_stride, dtype=np.float64),

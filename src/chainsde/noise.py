@@ -15,7 +15,10 @@ mapped to uniforms by the documented rule
 u = ((word >> 11) + 0.5) * 2**-53 and to Gaussians by the inverse normal
 CDF (scipy.special.ndtri).  No global RNG state is touched, and
 generation or refinement of distinct paths and levels may run in any
-order, including in parallel.
+order, including in parallel.  Solvers that walk an increment matrix in
+time order draw it in aligned blocks (`_BlockStream`); a pass of two or
+more blocks draws the next block on one helper thread while the solver
+steps the current one, so two half-size blocks are in flight.
 
 Refinement splits each parent increment p into children (l, r) with
 l = p/2 + xi, xi ~ N(0, var(p)/4) and r = p - l, then steps the left
@@ -38,6 +41,7 @@ fails, the same arithmetic runs in numpy (`np.random.Philox` in
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import hashlib
 import math
@@ -46,6 +50,8 @@ import shlex
 import struct
 import subprocess
 import sysconfig
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -74,9 +80,10 @@ __all__ = [
 # Memory budget: one level-24 path holds 2^24 increments (128 MiB).
 MAX_LEVEL = 24
 
-# Cells (paths x steps) of one block of a streamed increment matrix (8 MiB;
-# refining it holds about four times that).
-_BLOCK_CELLS = 2**20
+# Cells (paths x steps) of one block of a streamed increment matrix (4 MiB;
+# refining it holds about four times that).  A pass of two or more blocks
+# holds two: the one being stepped and the one being drawn.
+_BLOCK_CELLS = 2**19
 
 # Cells (paths x steps) of a block summed at a time when a stream
 # records a coarser level, at least one recorded cell of steps: the
@@ -435,12 +442,18 @@ class _BlockStream:
     generate_matrix(seeds, horizon, level), or zero blocks with `zero`.
     The width is the largest power of two with paths * width <=
     _BLOCK_CELLS, capped at 2^level.  A pass draws the level-`top` matrix
-    (top = level - log2 width) with generate_matrix and then refines each
-    of its cells on its own, so it never holds more than one block and
-    that block's split temporaries.  `shape` is the shape of the whole
-    matrix, which is never built.  Blocks refined by the native backend
-    and zero blocks are laid out step-major (see `_split`), so the
-    lockstep kernel reads them without a copy.
+    (top = level - log2 width) with generate_matrix on the calling thread
+    and then refines each of its cells on its own.  A one-block pass does
+    so on the calling thread too.  A pass of two or more blocks refines
+    them in order on one helper thread, made and shut down within the
+    pass, which draws block c + 1 while the consumer works on block c: it
+    holds at most two blocks and one block's split temporaries.  Closing
+    the iterator early joins the thread; an exception raised while
+    drawing a block is raised by the iterator where that block is due.
+    `shape` is the shape of the whole matrix, which is never built.
+    Blocks refined by the native backend and zero blocks are laid out
+    step-major (see `_split`), so the lockstep kernel reads them without
+    a copy.
 
     With `record_level`, a pass also writes the pairwise sums of the
     increments at that level into `recorded`, (paths, 2^record_level)
@@ -509,8 +522,21 @@ class _BlockStream:
 
         # Yield the call itself: a local name would keep each block alive
         # in this suspended frame while the consumer works on it.
-        for c in range(2**top):
-            yield block(c)
+        n = 2**top
+        if n == 1:
+            yield block(0)
+        else:
+            # One helper thread draws block c + 1 while the consumer steps
+            # block c; it builds the blocks in order, so `stage` and `sums`
+            # keep a single writer.  Each block runs in a copy of the
+            # consumer's context, whose numpy errstate it thereby shares.
+            with ThreadPoolExecutor(1) as pool:
+                pending = deque()
+                for c in range(n):
+                    pending.append(pool.submit(contextvars.copy_context().run, block, c))
+                    if c:
+                        yield pending.popleft().result()
+                yield pending.popleft().result()
         if stage is not None and stage is not self.recorded:
             self.recorded[...] = _pairwise_sums(stage, mid - self.record_level)
 

@@ -4,13 +4,15 @@ The block stream must reproduce generate_matrix bit for bit at every
 block width, and solves that walk it must not depend on the width.
 """
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chainsde import noise
+from chainsde import integrator, noise
 from chainsde.core import ChainState, SystemParams
 from chainsde.coupling import (
     InitJitter,
@@ -107,10 +109,10 @@ class TestBlockStream:
         assert all(not b.any() for b in blocks)
 
     def test_width_budget(self):
-        # 2^20 cells a block: 2^12 steps at 256 paths, capped at the row length
-        assert _BlockStream(SEEDS[:1] * 256, 1.0, 18).width == 2**12
+        # 2^19 cells a block: 2^11 steps at 256 paths, capped at the row length
+        assert _BlockStream(SEEDS[:1] * 256, 1.0, 18).width == 2**11
         assert _BlockStream(SEEDS[:1] * 256, 1.0, 11).width == 2**11
-        assert _BlockStream(SEEDS[:1] * 3, 1.0, 24).width == 2**18
+        assert _BlockStream(SEEDS[:1] * 3, 1.0, 24).width == 2**17
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -122,6 +124,117 @@ class TestBlockStream:
 @pytest.mark.usefixtures("numpy_backend")
 class TestBlockStreamNumpy(TestBlockStream):
     """The same streams on the numpy path."""
+
+
+class Boom(RuntimeError):
+    pass
+
+
+class TestPrefetch:
+    """A pass of two or more blocks draws the next one on a helper thread."""
+
+    def test_producer_shares_the_consumers_errstate(self, monkeypatch):
+        seen = []
+        refine_rows = noise._refine_rows
+
+        def recorded(*args, **kwargs):
+            seen.append((threading.get_ident(), np.geterr()))
+            return refine_rows(*args, **kwargs)
+
+        monkeypatch.setattr(noise, "_refine_rows", recorded)
+        set_width(monkeypatch, len(SEEDS), 4)
+        with np.errstate(over="raise", under="warn"):
+            want = np.geterr()
+            blocks = list(_BlockStream(SEEDS, 0.7, 6))
+        assert len(blocks) == 16
+        assert len(seen) == 17  # the top cells, then one call per block
+        assert {ident for ident, _ in seen} - {threading.get_ident()}
+        assert all(state == want for _, state in seen)
+
+    def test_failed_block_raises_from_the_solve(self, monkeypatch):
+        refine_rows = noise._refine_rows
+
+        def fails_at_block_3(inc, seeds, horizon, level, cell, depth, step_major=False):
+            if cell == 3:
+                raise Boom("block 3")
+            return refine_rows(inc, seeds, horizon, level, cell, depth, step_major)
+
+        monkeypatch.setattr(noise, "_refine_rows", fails_at_block_3)
+        set_width(monkeypatch, len(SEEDS), 4)
+        start = threading.active_count()
+        cfg = SolveConfig(level=6, band_n=8, max_time=1.0)
+        with pytest.raises(Boom, match="block 3"):
+            solve_ensemble(params_at((0.0, 1.0, 0.0)), cfg, SEEDS)
+        assert threading.active_count() == start
+
+    def test_failed_kernel_joins_the_thread(self, monkeypatch):
+        def fails_after_two_blocks(params, cfg, blocks, *args):
+            next(blocks)
+            next(blocks)
+            raise Boom("kernel")
+
+        monkeypatch.setattr(integrator, "_integrate", fails_after_two_blocks)
+        set_width(monkeypatch, len(SEEDS), 4)
+        start = threading.active_count()
+        cfg = SolveConfig(level=6, band_n=8, max_time=1.0)
+        with pytest.raises(Boom, match="kernel") as raised:
+            solve_ensemble(params_at((0.0, 1.0, 0.0)), cfg, SEEDS)
+        # the traceback keeps the kernel's frame, and the stream, alive
+        assert raised.traceback
+        assert threading.active_count() == start
+
+    def test_closed_stream_joins_its_thread(self, monkeypatch):
+        set_width(monkeypatch, len(SEEDS), 4)
+        start = threading.active_count()
+        it = iter(_BlockStream(SEEDS, 0.7, 6))
+        next(it)
+        next(it)
+        assert threading.active_count() == start + 1
+        it.close()
+        assert threading.active_count() == start
+
+    def test_concurrent_passes_keep_their_bits(self, monkeypatch):
+        # four passes at once, each with its helper thread, switching often:
+        # every block and every recorded sum must keep its bits
+        set_width(monkeypatch, len(SEEDS), 8)
+        full = generate_matrix(SEEDS, 0.7, 9)
+        results = {}
+
+        def walk(i):
+            stream = _BlockStream(SEEDS, 0.7, 9, record_level=4)
+            results[i] = (np.concatenate(list(stream), axis=1), stream.recorded)
+
+        threads = [threading.Thread(target=walk, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for blocks, recorded in results.values():
+            assert np.array_equal(bits(blocks), bits(full))
+            assert np.array_equal(bits(recorded), bits(_pairwise_sums(full, 5)))
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_one_block_pass_starts_no_thread(self, monkeypatch, zero):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block pass made a thread pool")
+
+        monkeypatch.setattr(noise, "ThreadPoolExecutor", no_pool)
+        stream = _BlockStream(SEEDS, 0.7, 6, zero=zero)
+        assert stream.width == 2**6
+        blocks = list(stream)
+        assert len(blocks) == 1
+
+
+@pytest.mark.usefixtures("numpy_backend")
+class TestPrefetchNumpy(TestPrefetch):
+    """The same passes on the numpy noise path."""
 
 
 def assert_same_ensemble(a, b):
