@@ -4,14 +4,15 @@
    for operation, so its results are bitwise equal to it.  The
    coefficient |x|^alpha is exp(alpha * log|x|), in core._abs_pow's
    order, evaluated by numpy's own float64 log and exp loops: bind_loops
-   reads them from the ufunc objects, and abs_pow_rows lets the loader
-   probe them against core._abs_pow.  Build with -ffp-contract=off and
-   without -ffast-math: a fused multiply-add or a reassociation would
-   change the bits.  One difference remains, in rows no record carries:
-   on a path still noisy on a non-finite state, a NaN plus a NaN keeps
-   the sign of the operand the instruction takes first, so a NaN here
-   may differ in sign from the numpy rows'.  The integrator holds a path
-   from its first non-finite row and overwrites its later records.
+   reads them from the ufunc objects, and the loader probes them against
+   core._abs_pow through the `coef` scratch of a one-step call to
+   step_rows.  Build with -ffp-contract=off and without -ffast-math: a
+   fused multiply-add or a reassociation would change the bits.  One
+   difference remains, in rows no record carries: on a path still noisy
+   on a non-finite state, a NaN plus a NaN keeps the sign of the operand
+   the instruction takes first, so a NaN here may differ in sign from the
+   numpy rows'.  The integrator holds a path from its first non-finite
+   row and overwrites its later records.
 
    step_rows is called through ctypes, which releases the GIL, so it may
    run while another thread draws the next block of noise.
@@ -81,13 +82,6 @@ static void abs_pow(const double *x, int64_t m, double alpha, double *out)
     exp_loop(args, &dim, steps, exp_data);
 }
 
-/* abs_pow for the load-time probe. */
-void abs_pow_rows(const double *x, int64_t m, double alpha, double *out)
-{
-    abs_pow(x, m, alpha, out);
-    feclearexcept(FE_ALL_EXCEPT);
-}
-
 /* Advance m paths of order d over n steps, the first of them to grid
    index j0, from `state` and `anchors`, which are only read.  Step i
    writes its state to stacked + i*d*m; the anchors are copied to
@@ -96,7 +90,8 @@ void abs_pow_rows(const double *x, int64_t m, double alpha, double *out)
    index j > stop_idx[p].  With `exact` a path's drift rows are the exact
    flow from its anchor over t - at, with t = j * h, and its anchor moves
    to the new state iff its dlast != 0; otherwise forward Euler over h.
-   `coef` holds m doubles of scratch. */
+   `coef` holds m doubles of scratch; on return it holds the last step's
+   coefficients |x|^alpha, of the state that step starts from. */
 void step_rows(int64_t m, int64_t d, int64_t n, const double *inc, int64_t j0, double h,
                double alpha, int exact, const int64_t *stop_idx, const double *state,
                const double *anchors, double *stacked, double *end_anchors, double *coef)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import SystemParams
 from .coupling import _pair_divergence
-from .integrator import Scheme, SolveConfig, Trajectory, solve_ensemble
+from .integrator import CHUNK, Scheme, SolveConfig, Trajectory, solve_ensemble
 from .noise import path_seed
 from .stopping import CaseKind, CaseLabel, StoppingBand, classify, detect_Tn, guaranteed_window
 
@@ -45,9 +45,6 @@ __all__ = [
 ]
 
 _TN_KINDS = (CaseKind.CASE_III, CaseKind.CASE_IV_ZPOS, CaseKind.CASE_IV_ZNEG)
-
-# seeds per convergence_errors call of convergence_order
-_CONVERGENCE_CHUNK = 200
 
 
 @dataclass(frozen=True)
@@ -336,8 +333,8 @@ def convergence_order(
         raise ValueError("need at least one path")
     seeds = [path_seed(master_seed, i) for i in range(M)]
     parts = [
-        convergence_errors(params, cfg, levels, level_ref, seeds[lo : lo + _CONVERGENCE_CHUNK])
-        for lo in range(0, M, _CONVERGENCE_CHUNK)
+        convergence_errors(params, cfg, levels, level_ref, seeds[lo : lo + CHUNK])
+        for lo in range(0, M, CHUNK)
     ]
     return _fold_convergence(levels, cfg.max_time, np.concatenate(parts, axis=1))
 

@@ -32,15 +32,11 @@ from .analysis import _reference_stride
 from .core import ChainState, SystemParams
 from .coupling import _TRACE_POINTS, _pair_grids, _pair_setup, parse_perturbation
 from .errors import ConfigError
-from .integrator import _BLOCK_BUDGET, Scheme, SolveConfig, _block_bytes
+from .integrator import _BLOCK_BUDGET, CHUNK, Scheme, SolveConfig, _block_bytes
 from .noise import _block_width
 from .stopping import CaseLabel, classify, guaranteed_window
 
 __all__ = ["CHUNK", "COMMANDS", "ExperimentConfig", "parse_config_file"]
-
-# paths per worker task; fixed so chunking (and therefore output bytes)
-# never depends on the worker count
-CHUNK = 256
 
 COMMANDS = {
     "simulate": "integrate an ensemble and tabulate stop events",

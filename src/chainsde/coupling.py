@@ -214,15 +214,17 @@ def _pair_grids(cfg_a: SolveConfig, cfg_b: SolveConfig, max_trace_points: int | 
 def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
     """Both sides of the coupled pairs of `seeds`, sharing generated noise.
 
-    The finer solve streams its noise in time blocks and records the
-    blocks' pairwise sums at the coarser level, bitwise the coarsened
-    increments, which the coarser solve then integrates; when both run at
-    one level, each streams the same noise on its own.  The divergence
-    grid is the coarser grid decimated to at most max_trace_points points
-    (always keeping t = 0 and the horizon), and each side records only
-    that grid; without max_trace_points it is the whole coarser grid and
-    each side records every step of its own grid.  Returns the two
-    ensembles and the divergence grid's stride in each side's grid steps.
+    Both sides read one noise stream at the finer level.  The finer solve
+    walks it first; a pass that takes every block publishes their pairwise
+    sums at the coarser level as `recorded`, bitwise the coarsened
+    increments, which the coarser solve then integrates.  At one level
+    each side walks the stream, which regenerates bitwise on each pass.
+    The divergence grid is the coarser grid decimated to at most
+    max_trace_points points (always keeping t = 0 and the horizon), and
+    each side records only that grid; without max_trace_points it is the
+    whole coarser grid and each side records every step of its own grid.
+    Returns the two ensembles and the divergence grid's stride in each
+    side's grid steps.
     """
     cfg_a, cfg_b, init_b = _pair_setup(params, pert, cfg)
     hi = max(cfg_a.level, cfg_b.level)
@@ -230,6 +232,8 @@ def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
     full = max_trace_points is None
     grid_a, grid_b = _pair_grids(cfg_a, cfg_b, max_trace_points)
     m = len(seeds)
+    noise = _BlockStream(seeds, cfg.max_time, hi, zero=cfg.zero_noise,
+                         record_level=lo if lo < hi else None)
 
     def integrate(side_cfg, init, grid, inc):
         return integrate_block(
@@ -238,22 +242,12 @@ def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
             record_stride=1 if full else grid, seeds=tuple(seeds),
         )
 
-    if lo == hi:
-        # Both solves walk the one stream, which regenerates bitwise on
-        # each pass; nothing of paths x 2^level is held.
-        noise = coarse = _BlockStream(seeds, cfg.max_time, hi, zero=cfg.zero_noise)
-    else:
-        # The finer solve runs first: its pass over the stream fills
-        # noise.recorded, the increments of the coarser solve.
-        noise = _BlockStream(seeds, cfg.max_time, hi, zero=cfg.zero_noise, record_level=lo)
-        coarse = noise.recorded
-    if cfg_a.level >= cfg_b.level:
-        run_a = integrate(cfg_a, params.initial.coords, grid_a, noise)
-        run_b = integrate(cfg_b, init_b, grid_b, coarse)
-    else:
-        run_b = integrate(cfg_b, init_b, grid_b, noise)
-        run_a = integrate(cfg_a, params.initial.coords, grid_a, coarse)
-    return run_a, run_b, grid_a, grid_b
+    sides = [(cfg_a, params.initial.coords, grid_a), (cfg_b, init_b, grid_b)]
+    fine = 0 if cfg_a.level == hi else 1
+    runs = [None, None]
+    runs[fine] = integrate(*sides[fine], noise)
+    runs[1 - fine] = integrate(*sides[1 - fine], noise.recorded if lo < hi else noise)
+    return runs[0], runs[1], grid_a, grid_b
 
 
 def _pair_divergence(run_a, run_b, grid_a, grid_b, i) -> np.ndarray:

@@ -90,24 +90,33 @@ _BLOCK_BUDGET = 1_600_000_000
 # writes (one sub-block).
 _SUB = 32
 
+# Paths per lockstep solve of a CLI run's worker task and of
+# `analysis.convergence_order`; fixed so chunking (and therefore output
+# bytes) never depends on the worker count.
+CHUNK = 256
+
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 
 
-def _probe(lib: ctypes.CDLL) -> bool:
-    """Whether the library's |x|^alpha is bitwise `_abs_pow`'s on zeros,
+def _probe(step_rows) -> bool:
+    """Whether the C step's |x|^alpha is bitwise `_abs_pow`'s on zeros,
     subnormals, 1.0, huge values, infinities, NaN, scattered bit patterns
-    and values of the band range, at two alphas."""
+    and values of the band range, at two alphas: one drift-exact step
+    from (x, 0, 0) with dB = 1 and no stop leaves it in `coef`."""
     tiny, huge = 5e-324, 1.7976931348623157e308
     special = [0.0, 1.0, tiny, 2.0**-1022, 2.0**-1022 - tiny, huge, 1e300, math.inf, math.nan]
     bits = np.arange(1, 2049, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     frac = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
     band = np.ldexp(frac + 0.5, (bits % np.uint64(64)).astype(np.int64) - 32)
     x = np.concatenate([special, np.negative(special), bits.view(np.float64), band, -band])
-    got = np.empty_like(x)
+    m = x.size
+    inc, stop_idx, coef = np.ones(m), np.full(m, 2, dtype=np.int64), np.empty(m)
+    state, out = np.vstack([x, np.zeros((2, m))]), np.empty((2, 3, m))
+    ptrs = [a.ctypes.data for a in (stop_idx, state, state, out[0], out[1], coef)]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for alpha in (0.9, 0.7654321):
-            lib.abs_pow_rows(x.ctypes.data, x.size, alpha, got.ctypes.data)
-            if got.tobytes() != _abs_pow(x, alpha).tobytes():
+            step_rows(m, 3, 1, inc.ctypes.data, 1, 1.0, alpha, 1, *ptrs)
+            if coef.tobytes() != _abs_pow(x, alpha).tobytes():
                 return False
     return True
 
@@ -125,12 +134,10 @@ def _load_kernel(cache: Path):
         return None
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib.bind_loops.argtypes = [ctypes.py_object, ctypes.py_object]
-    lib.abs_pow_rows.argtypes = [ptr, i64, f64, ptr]
-    lib.abs_pow_rows.restype = None
     lib.step_rows.argtypes = [i64, i64, i64, ptr, i64, f64, f64, ctypes.c_int, ptr, ptr, ptr,
                               ptr, ptr, ptr]
     lib.step_rows.restype = None
-    if lib.bind_loops(np.log, np.exp) != 0 or not _probe(lib):
+    if lib.bind_loops(np.log, np.exp) != 0 or not _probe(lib.step_rows):
         return None
     return lib.step_rows
 
@@ -437,7 +444,8 @@ def _integrate(params, cfg, blocks, h, stride, rec, stop_code, stop_idx):
     other row keeps its bits.  A held path steps on; when the kernel ends,
     its saved stop state is written over its later records.  Once every
     path is held no more steps are taken, but the blocks are still
-    consumed: a stream may sum coarse increments as it is walked.
+    consumed: a stream with a record level sums coarse increments as it
+    is walked and publishes them only once every block has been taken.
     """
     M, _, d = rec.shape
     alpha = params.alpha

@@ -455,10 +455,13 @@ class _BlockStream:
     step-major (see `_split`), so the lockstep kernel reads them without
     a copy.
 
-    With `record_level`, a pass also writes the pairwise sums of the
-    increments at that level into `recorded`, (paths, 2^record_level)
-    laid out step-major, bitwise equal to coarsening the whole matrix; a
-    block narrower than one recorded cell is summed on across blocks.
+    With `record_level`, a pass sums each block's increments down to that
+    level as it goes (a block narrower than one recorded cell is summed on
+    across blocks).  It sets `recorded` to None when it starts and to the
+    sums, (paths, 2^record_level) laid out step-major and bitwise equal to
+    coarsening the whole matrix, only once its iterator is exhausted: a
+    consumer must walk every block for the record to exist, and a pass
+    closed early or failed leaves None.
     """
 
     def __init__(self, seeds, horizon: float, level: int, *, zero: bool = False,
@@ -470,25 +473,22 @@ class _BlockStream:
         m = len(self.seeds)
         self.shape = (m, 2**level)
         self.width = _block_width(m, level)
+        if record_level is not None and not 0 <= record_level <= level:
+            raise ValueError(f"record_level must lie in [0, {level}], got {record_level}")
         self.record_level = record_level
         self.recorded = None
-        if record_level is not None:
-            if not 0 <= record_level <= level:
-                raise ValueError(f"record_level must lie in [0, {level}], got {record_level}")
-            self.recorded = np.empty((2**record_level, m), dtype=np.float64).T
 
     def __iter__(self):
+        self.recorded = stage = None
         m, width = self.shape[0], self.width
         depth = width.bit_length() - 1
         top = self.level - depth
         cells = None if self.zero else generate_matrix(self.seeds, self.horizon, top)
-        stage = None
-        if self.recorded is not None:
+        if self.record_level is not None:
             # each block is summed down to level `mid`, at most to one cell
             halvings = min(depth, self.level - self.record_level)
             mid = self.level - halvings
-            per = width >> halvings
-            stage = self.recorded if mid == self.record_level else np.empty((2**mid, m)).T
+            stage = np.empty((2**mid, m)).T
             # a block is summed a tile of steps at a time (a power of two,
             # at most _SUM_CELLS cells unless one recorded cell is more),
             # so that its halvings stay in cache; those before the last
@@ -537,8 +537,8 @@ class _BlockStream:
                     if c:
                         yield pending.popleft().result()
                 yield pending.popleft().result()
-        if stage is not None and stage is not self.recorded:
-            self.recorded[...] = _pairwise_sums(stage, mid - self.record_level)
+        if stage is not None:
+            self.recorded = _pairwise_sums(stage, mid - self.record_level)
 
 
 def generate(seed: int, horizon: float, level: int) -> BrownianPath:

@@ -237,7 +237,7 @@ def _simulate(config: ExperimentConfig, seeds, over_chunks, out_dir: Path):
     coords = np.concatenate([p[1] for p in parts], axis=0)
     reasons = np.concatenate([p[2] for p in parts])
     indices = np.concatenate([p[3] for p in parts])
-    h = config.horizon * 2.0**-config.level
+    h = config.solve_config.grid_step
 
     n_paths, n_times = coords.shape[:2]
     columns = [

@@ -46,6 +46,22 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+class Boom(RuntimeError):
+    pass
+
+
+def fail_at_block_3(monkeypatch):
+    """Make the stream's refinement of block 3 raise Boom."""
+    refine_rows = noise._refine_rows
+
+    def fails_at_block_3(inc, seeds, horizon, level, cell, depth, step_major=False):
+        if cell == 3:
+            raise Boom("block 3")
+        return refine_rows(inc, seeds, horizon, level, cell, depth, step_major)
+
+    monkeypatch.setattr(noise, "_refine_rows", fails_at_block_3)
+
+
 class TestBlockStream:
     @pytest.mark.parametrize("offset", range(10))
     def test_rekey_offset_reads_on_from_that_word(self, offset):
@@ -87,8 +103,31 @@ class TestBlockStream:
         # the coarse solve of a resolution pair reads it without a copy
         set_width(monkeypatch, len(SEEDS), 64)
         stream = _BlockStream(SEEDS, 0.7, 9, record_level=record_level)
+        for _ in stream:
+            pass
         assert stream.recorded.shape == (len(SEEDS), 2**record_level)
         assert stream.recorded.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("width", [8, 64])
+    def test_recorded_only_after_a_complete_pass(self, monkeypatch, width):
+        # a level-4 cell is 32 steps: 8-step blocks are summed on across
+        # blocks, and a 64-step block reaches the record level itself
+        set_width(monkeypatch, len(SEEDS), width)
+        stream = _BlockStream(SEEDS, 0.7, 9, record_level=4)
+        assert stream.recorded is None
+        it = iter(stream)
+        next(it)
+        it.close()
+        assert stream.recorded is None
+        for _ in stream:
+            pass
+        want = _pairwise_sums(generate_matrix(SEEDS, 0.7, 9), 5)
+        assert np.array_equal(bits(stream.recorded), bits(want))
+        assert stream.recorded.T.flags.c_contiguous
+        fail_at_block_3(monkeypatch)
+        with pytest.raises(Boom, match="block 3"):
+            list(stream)
+        assert stream.recorded is None
 
     @pytest.mark.parametrize("sum_cells", [5, 17, 23, 80])
     @pytest.mark.parametrize("record_level", [0, 4, 7, 9])
@@ -126,10 +165,6 @@ class TestBlockStreamNumpy(TestBlockStream):
     """The same streams on the numpy path."""
 
 
-class Boom(RuntimeError):
-    pass
-
-
 class TestPrefetch:
     """A pass of two or more blocks draws the next one on a helper thread."""
 
@@ -152,14 +187,7 @@ class TestPrefetch:
         assert all(state == want for _, state in seen)
 
     def test_failed_block_raises_from_the_solve(self, monkeypatch):
-        refine_rows = noise._refine_rows
-
-        def fails_at_block_3(inc, seeds, horizon, level, cell, depth, step_major=False):
-            if cell == 3:
-                raise Boom("block 3")
-            return refine_rows(inc, seeds, horizon, level, cell, depth, step_major)
-
-        monkeypatch.setattr(noise, "_refine_rows", fails_at_block_3)
+        fail_at_block_3(monkeypatch)
         set_width(monkeypatch, len(SEEDS), 4)
         start = threading.active_count()
         cfg = SolveConfig(level=6, band_n=8, max_time=1.0)
@@ -318,6 +346,36 @@ class TestWidthIndependence:
             initial_coords=np.tile(par.initial.coords, (6, 1)),
         )
         assert_same_ensemble(coarse, want)
+
+
+    @pytest.mark.parametrize("width", [None, 8])
+    def test_resolution_pair_is_symmetric(self, monkeypatch, width):
+        # either order of the levels runs the level-9 side first and gives
+        # the same two ensembles, at one block and at 64
+        par = params_at((0.0, 1.0, 0.0))
+        cfg = SolveConfig(level=9, band_n=8, max_time=0.25)
+        seeds = [path_seed(43, i) for i in range(6)]
+        if width is not None:
+            set_width(monkeypatch, len(seeds), width)
+        a6, b9, grid_a6, grid_b9 = _coupled_pair(par, seeds, ResolutionSplit(6, 9), cfg)
+        a9, b6, grid_a9, grid_b6 = _coupled_pair(par, seeds, ResolutionSplit(9, 6), cfg)
+        assert (grid_a6, grid_b9) == (grid_b6, grid_a9) == (1, 8)
+        assert_same_ensemble(a6, b6)
+        assert_same_ensemble(b9, a9)
+        assert a6.coords.shape[1] == 2**6 + 1 and a9.coords.shape[1] == 2**9 + 1
+
+    def test_fine_solve_that_stops_walking_fails_the_pair(self, monkeypatch):
+        # a kernel that leaves blocks untaken publishes no coarse record,
+        # so the coarse solve has no increments to integrate
+        def takes_one_block(params, cfg, blocks, *args):
+            next(blocks)
+
+        monkeypatch.setattr(integrator, "_integrate", takes_one_block)
+        set_width(monkeypatch, 6, 8)
+        cfg = SolveConfig(level=9, band_n=8, max_time=0.25)
+        seeds = [path_seed(43, i) for i in range(6)]
+        with pytest.raises(ValueError, match="matrix"):
+            _coupled_pair(params_at((0.0, 1.0, 0.0)), seeds, ResolutionSplit(6, 9), cfg)
 
 
 @pytest.mark.usefixtures("numpy_rows")
