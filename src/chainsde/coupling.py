@@ -215,10 +215,12 @@ def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
     """Both sides of the coupled pairs of `seeds`, sharing generated noise.
 
     Both sides read one noise stream at the finer level.  The finer solve
-    walks it first; a pass that takes every block publishes their pairwise
-    sums at the coarser level as `recorded`, bitwise the coarsened
-    increments, which the coarser solve then integrates.  At one level
-    each side walks the stream, which regenerates bitwise on each pass.
+    walks it first, and the stream sums each block to the coarser level
+    on the solver's thread as it is taken; a pass that takes every block
+    publishes the sums as `recorded`, bitwise the coarsened increments,
+    which the coarser solve then integrates (else this raises
+    RuntimeError).  At one level each side walks the stream, which
+    regenerates bitwise on each pass.
     The divergence grid is the coarser grid decimated to at most
     max_trace_points points (always keeping t = 0 and the horizon), and
     each side records only that grid; without max_trace_points it is the
@@ -246,6 +248,9 @@ def _coupled_pair(params, seeds, pert, cfg, max_trace_points=None):
     fine = 0 if cfg_a.level == hi else 1
     runs = [None, None]
     runs[fine] = integrate(*sides[fine], noise)
+    if lo < hi and noise.recorded is None:
+        raise RuntimeError(f"the level-{hi} solve left blocks of its noise pass untaken, "
+                           f"so there is no level-{lo} record to integrate")
     runs[1 - fine] = integrate(*sides[1 - fine], noise.recorded if lo < hi else noise)
     return runs[0], runs[1], grid_a, grid_b
 

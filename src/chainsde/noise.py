@@ -17,8 +17,9 @@ CDF (scipy.special.ndtri).  No global RNG state is touched, and
 generation or refinement of distinct paths and levels may run in any
 order, including in parallel.  Solvers that walk an increment matrix in
 time order draw it in aligned blocks (`_BlockStream`); a pass of two or
-more blocks draws the next block on one helper thread while the solver
-steps the current one, so two half-size blocks are in flight.
+more blocks draws the next block on one helper thread, which only draws,
+while the solver sums and steps the current one, so two half-size blocks
+are in flight.
 
 Refinement splits each parent increment p into children (l, r) with
 l = p/2 + xi, xi ~ N(0, var(p)/4) and r = p - l, then steps the left
@@ -85,9 +86,9 @@ MAX_LEVEL = 24
 # holds two: the one being stepped and the one being drawn.
 _BLOCK_CELLS = 2**19
 
-# Cells (paths x steps) of a block summed at a time when a stream
-# records a coarser level, at least one recorded cell of steps: the
-# buffers of the halvings hold 0.75 times as many doubles (768 KiB).
+# Cells (paths x steps) of a block summed at a time when a stream records
+# a coarser level, at least one recorded cell of steps: the temporaries
+# of one tile's halvings hold 0.75 times as many doubles (768 KiB).
 _SUM_CELLS = 2**17
 
 _MASK64 = (1 << 64) - 1
@@ -409,7 +410,9 @@ def _refine_rows(inc, seeds, horizon: float, level: int, cell: int, depth: int,
 
 
 def _pairwise_sums(rows: np.ndarray, halvings: int) -> np.ndarray:
-    """Sum adjacent cells of each row `halvings` times, in the refinement tree's order."""
+    """Sum adjacent cells of each row `halvings` times, in the refinement
+    tree's order.  With no halvings it is `rows` itself, not a copy, which
+    `_BlockStream` publishes as its step-major record."""
     for _ in range(halvings):
         rows = rows[:, 0::2] + rows[:, 1::2]
     return rows
@@ -446,22 +449,23 @@ class _BlockStream:
     and then refines each of its cells on its own.  A one-block pass does
     so on the calling thread too.  A pass of two or more blocks refines
     them in order on one helper thread, made and shut down within the
-    pass, which draws block c + 1 while the consumer works on block c: it
-    holds at most two blocks and one block's split temporaries.  Closing
-    the iterator early joins the thread; an exception raised while
-    drawing a block is raised by the iterator where that block is due.
+    pass, which only draws block c + 1 (a function of c alone) while the
+    consumer works on block c: it holds at most two blocks and one
+    block's split temporaries.  Closing the iterator early joins the
+    thread; an exception raised while drawing a block is raised by the
+    iterator where that block is due.
     `shape` is the shape of the whole matrix, which is never built.
     Blocks refined by the native backend and zero blocks are laid out
     step-major (see `_split`), so the lockstep kernel reads them without
     a copy.
 
-    With `record_level`, a pass sums each block's increments down to that
-    level as it goes (a block narrower than one recorded cell is summed on
-    across blocks).  It sets `recorded` to None when it starts and to the
-    sums, (paths, 2^record_level) laid out step-major and bitwise equal to
-    coarsening the whole matrix, only once its iterator is exhausted: a
-    consumer must walk every block for the record to exist, and a pass
-    closed early or failed leaves None.
+    With `record_level`, each block is summed down to that level, tile by
+    tile on the consumer's thread, as it is taken (a block narrower than
+    one recorded cell is summed on across blocks).  A pass sets `recorded`
+    to None when it starts and to the sums, (paths, 2^record_level) laid
+    out step-major and bitwise equal to coarsening the whole matrix, only
+    once its iterator is exhausted: a consumer must walk every block for
+    the record to exist, and a pass closed early or failed leaves None.
     """
 
     def __init__(self, seeds, horizon: float, level: int, *, zero: bool = False,
@@ -485,58 +489,47 @@ class _BlockStream:
         top = self.level - depth
         cells = None if self.zero else generate_matrix(self.seeds, self.horizon, top)
         if self.record_level is not None:
-            # each block is summed down to level `mid`, at most to one cell
+            # each block is summed down to level `mid`, at most to one cell,
+            # a tile of steps at a time (a power of two, at most _SUM_CELLS
+            # cells unless one recorded cell is more) so its halvings stay
+            # in cache
             halvings = min(depth, self.level - self.record_level)
             mid = self.level - halvings
             stage = np.empty((2**mid, m)).T
-            # a block is summed a tile of steps at a time (a power of two,
-            # at most _SUM_CELLS cells unless one recorded cell is more),
-            # so that its halvings stay in cache; those before the last
-            # alternate between two step-major buffers, made once per pass,
-            # and the last writes into `stage`
             fit = 1 << max(0, (_SUM_CELLS // m).bit_length() - 1)
             tile = min(width, max(fit, 1 << halvings))
-            sums = [np.empty((tile >> k, m)).T for k in (1, 2)]
 
         def block(c):
             if cells is None:
-                out = np.zeros((width, m), dtype=np.float64).T
-            else:
-                out = _refine_rows(
-                    cells[:, c : c + 1], self.seeds, self.horizon, top, c, depth, step_major=True
-                )
+                return np.zeros((width, m), dtype=np.float64).T
+            return _refine_rows(
+                cells[:, c : c + 1], self.seeds, self.horizon, top, c, depth, step_major=True
+            )
+
+        def take(c, out):
             if stage is not None:
-                # _pairwise_sums(out, halvings), with no temporary per halving
                 for t in range(0, width, tile):
-                    rows = out[:, t : t + tile]
                     lo = (c * width + t) >> halvings
-                    dest = stage[:, lo : lo + (tile >> halvings)]
-                    if halvings == 0:
-                        dest[...] = rows
-                    for k in range(halvings):
-                        half = rows.shape[1] // 2
-                        into = dest if k == halvings - 1 else sums[k % 2][:, :half]
-                        np.add(rows[:, 0::2], rows[:, 1::2], out=into)
-                        rows = into
+                    stage[:, lo : lo + (tile >> halvings)] = _pairwise_sums(
+                        out[:, t : t + tile], halvings)
             return out
 
         # Yield the call itself: a local name would keep each block alive
         # in this suspended frame while the consumer works on it.
         n = 2**top
         if n == 1:
-            yield block(0)
+            yield take(0, block(0))
         else:
-            # One helper thread draws block c + 1 while the consumer steps
-            # block c; it builds the blocks in order, so `stage` and `sums`
-            # keep a single writer.  Each block runs in a copy of the
+            # One helper thread draws block c + 1 while the consumer sums
+            # and steps block c.  Each block runs in a copy of the
             # consumer's context, whose numpy errstate it thereby shares.
             with ThreadPoolExecutor(1) as pool:
                 pending = deque()
                 for c in range(n):
                     pending.append(pool.submit(contextvars.copy_context().run, block, c))
                     if c:
-                        yield pending.popleft().result()
-                yield pending.popleft().result()
+                        yield take(c - 1, pending.popleft().result())
+                yield take(n - 1, pending.popleft().result())
         if stage is not None:
             self.recorded = _pairwise_sums(stage, mid - self.record_level)
 

@@ -141,6 +141,24 @@ class TestBlockStream:
         want = _pairwise_sums(generate_matrix(SEEDS, 0.7, 9), 9 - record_level)
         assert np.array_equal(bits(stream.recorded), bits(want))
 
+    def test_recorded_is_summed_on_the_walking_thread(self, monkeypatch):
+        # the helper thread only draws; each block is summed as it is taken
+        want = _pairwise_sums(generate_matrix(SEEDS, 0.7, 9), 5)
+        threads = []
+
+        def logged(rows, halvings):
+            threads.append(threading.get_ident())
+            return _pairwise_sums(rows, halvings)
+
+        monkeypatch.setattr(noise, "_pairwise_sums", logged)
+        set_width(monkeypatch, len(SEEDS), 8)
+        stream = _BlockStream(SEEDS, 0.7, 9, record_level=4)
+        for _ in stream:
+            pass
+        assert len(threads) > 2**9 // 8
+        assert set(threads) == {threading.get_ident()}
+        assert np.array_equal(bits(stream.recorded), bits(want))
+
     def test_zero_stream(self, monkeypatch):
         set_width(monkeypatch, len(SEEDS), 4)
         blocks = list(_BlockStream(SEEDS, 0.7, 5, zero=True))
@@ -366,7 +384,7 @@ class TestWidthIndependence:
 
     def test_fine_solve_that_stops_walking_fails_the_pair(self, monkeypatch):
         # a kernel that leaves blocks untaken publishes no coarse record,
-        # so the coarse solve has no increments to integrate
+        # and the pair names the two levels instead of solving the coarse side
         def takes_one_block(params, cfg, blocks, *args):
             next(blocks)
 
@@ -374,7 +392,7 @@ class TestWidthIndependence:
         set_width(monkeypatch, 6, 8)
         cfg = SolveConfig(level=9, band_n=8, max_time=0.25)
         seeds = [path_seed(43, i) for i in range(6)]
-        with pytest.raises(ValueError, match="matrix"):
+        with pytest.raises(RuntimeError, match="level-9 solve left blocks .* no level-6 record"):
             _coupled_pair(params_at((0.0, 1.0, 0.0)), seeds, ResolutionSplit(6, 9), cfg)
 
 
